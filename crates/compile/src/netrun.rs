@@ -2,28 +2,35 @@
 //!
 //! `phpfc --backend socket` (and the differential tests) validate a
 //! replay where every virtual processor is a real OS process exchanging
-//! frames over [`hpf_net::socket`] links. The pieces:
+//! frames over [`hpf_net::socket`] links. There is one driver, a
+//! supervised generation loop:
 //!
 //! * the *parent* ([`socket_validate_replay`]) compiles the program, runs
-//!   the reference executor for the authoritative memories, then spawns
-//!   one `networker` process per rank and plays rendezvous server: each
-//!   worker registers `(rank, data address)` over a framed control
-//!   connection, the parent answers with the job spec plus the full
-//!   address map, and finally collects one result blob per rank (stats,
-//!   wire metrics, the rank's entire memory);
-//! * each *worker* ([`worker_main`], the `networker` binary) recompiles
-//!   the same source deterministically, records the same trace with the
-//!   reference executor, meshes with its peers via
-//!   [`SocketTransport::connect_mesh`], and replays its rank's events
-//!   with [`hpf_spmd::replay_rank`] — the exact engine the threaded
-//!   backend uses, just over sockets;
+//!   the reference executor for the authoritative memories, then runs
+//!   *generations*: it spawns one `networker` process per rank, plays
+//!   rendezvous server (each worker registers `(rank, data address)` over
+//!   a framed control connection and gets back the job spec plus the
+//!   full address map), and steps the cohort through the executor's
+//!   epochs in lock step. After every epoch each rank reports a status
+//!   carrying its checkpoint — cumulative stats, traffic counters and
+//!   memory — and waits for `Proceed`; once all ranks report, the parent
+//!   commits that cut. A generation ends with one result per rank, or is
+//!   torn down on the first failure and respawned from the last committed
+//!   cut. When the respawn budget runs dry the run degrades to the
+//!   in-process thread backend.
+//! * each *worker* ([`worker_main`], the `networker` binary) heartbeats on
+//!   its control link, recompiles the same source deterministically,
+//!   records the same trace with the reference executor, meshes with its
+//!   peers via [`SocketTransport::connect_mesh`], and replays its rank's
+//!   events epoch by epoch with [`hpf_spmd::replay_rank_segment`] — the
+//!   exact engine the threaded backend uses, just over sockets;
 //! * the parent merges the per-rank [`CommMetrics`] and checks every
 //!   owner slot bit-for-bit against the reference memories
 //!   ([`hpf_spmd::check_owner_slots`]).
 //!
 //! Every blocking step carries a deadline (rendezvous accepts, job
-//! dispatch, result collection, child reaping), so a worker that dies or
-//! wedges surfaces as an error with its rank attached, never a hang.
+//! dispatch, heartbeats, child reaping), so a worker that dies or wedges
+//! is detected with its rank attached, never a hang.
 
 use crate::{compile_source, Compiled, Options, Version};
 use hpf_ir::interp::Memory;
@@ -36,12 +43,11 @@ use hpf_net::{FaultInjector, NetError, RetryPolicy, Transport};
 use hpf_obs::{Body, BufTracer, CommKind, TraceEvent, Tracer};
 use hpf_spmd::metrics::{self, CommMetrics, RecoveryCounters};
 use hpf_spmd::{
-    check_owner_slots, replay_rank_segment, replay_rank_traced, validate_replay_traced, Replayed,
-    ReplayStats, SpmdExec,
+    check_owner_slots, replay_rank_segment, validate_replay_traced, ReplayStats, Replayed, SpmdExec,
 };
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -143,24 +149,15 @@ pub struct NetRunConfig {
     pub io_deadline: Duration,
     /// Mesh establishment and rendezvous deadline.
     pub connect_deadline: Duration,
-    /// How long the parent waits for each worker's result.
+    /// How long the parent waits for the workers of a finished generation
+    /// to exit, and for a worker's registration frame.
     pub result_deadline: Duration,
-    /// Fault injection: this rank aborts its process right after the mesh
-    /// handshake, so its peers exercise the dead-peer detection path.
-    /// Deliberately *not* rescued by supervision: it exists to prove the
-    /// unsupervised failure path stays loud.
-    pub fail_rank: Option<usize>,
     /// Link retransmission budget (NACK-driven resends per link). `0`
     /// derives a default: 3 when a fault plan is active, else off.
     pub retries: u32,
     /// Deterministic fault plan (corrupt/drop/kill actions) injected into
-    /// the workers. A non-empty plan switches the driver into supervised
-    /// mode: lock-step epochs, checkpoints, heartbeats and gang respawn.
+    /// the workers.
     pub fault_plan: Option<FaultPlan>,
-    /// How often each worker's heartbeat thread beats on its control link.
-    pub heartbeat_interval: Duration,
-    /// Parent-side silence budget per worker before it is declared dead.
-    pub heartbeat_deadline: Duration,
     /// How many failed generations the supervisor may respawn before it
     /// degrades to the in-process thread backend. `None` derives the
     /// budget from the effective retry count.
@@ -174,27 +171,21 @@ impl Default for NetRunConfig {
             io_deadline: Duration::from_secs(5),
             connect_deadline: Duration::from_secs(10),
             result_deadline: Duration::from_secs(60),
-            fail_rank: None,
             retries: 0,
             fault_plan: None,
-            heartbeat_interval: Duration::from_millis(250),
-            heartbeat_deadline: Duration::from_secs(5),
             respawn_budget: None,
         }
     }
 }
 
+/// How often each worker's heartbeat thread beats on its control link.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
+/// Parent-side silence budget per worker before it is declared dead.
+const HEARTBEAT_DEADLINE: Duration = Duration::from_secs(5);
+
 impl NetRunConfig {
     fn plan(&self) -> FaultPlan {
         self.fault_plan.clone().unwrap_or_default()
-    }
-
-    /// Supervised mode: lock-step epoch checkpoints, worker heartbeats and
-    /// gang respawn on failure. Engaged by any recovery knob; the default
-    /// configuration keeps the original fire-and-collect driver
-    /// byte-for-byte.
-    pub fn supervised(&self) -> bool {
-        self.retries > 0 || !self.plan().is_empty() || self.respawn_budget.is_some()
     }
 
     /// Link retransmission budget actually shipped to the workers: an
@@ -212,34 +203,16 @@ impl NetRunConfig {
 
 const NO_RANK: u32 = u32::MAX;
 
-/// Per-rank supervision extras riding on the job blob: the (resolved,
-/// possibly respawn-pruned) fault plan, the retransmission budget, the
-/// heartbeat cadence, and — for a respawned generation — how many epochs
-/// are already committed plus this rank's checkpointed memory.
-struct JobExtras<'a> {
-    plan: &'a FaultPlan,
-    retries: u32,
-    supervised: bool,
-    resume: Option<(u32, &'a [u8])>,
-}
-
-impl<'a> JobExtras<'a> {
-    fn unsupervised(empty: &'a FaultPlan) -> JobExtras<'a> {
-        JobExtras {
-            plan: empty,
-            retries: 0,
-            supervised: false,
-            resume: None,
-        }
-    }
-}
-
+/// The job blob for one rank. Besides the job and the mesh it carries the
+/// (resolved, possibly respawn-pruned) fault plan and — for a respawned
+/// generation — how many epochs are already committed plus this rank's
+/// encoded checkpoint at that cut.
 fn encode_job(
     job: &NetJob,
     cfg: &NetRunConfig,
-    nproc: usize,
     addrs: &[Addr],
-    extras: &JobExtras,
+    plan: &FaultPlan,
+    resume: Option<(u32, &[u8])>,
 ) -> Vec<u8> {
     let mut e = Enc::new();
     e.str(&job.source);
@@ -266,19 +239,15 @@ fn encode_job(
             e.f64(x);
         }
     }
-    e.u32(cfg.fail_rank.map(|r| r as u32).unwrap_or(NO_RANK));
     e.u64(cfg.io_deadline.as_millis() as u64);
     e.u64(cfg.connect_deadline.as_millis() as u64);
-    e.u32(nproc as u32);
     e.u32(addrs.len() as u32);
     for a in addrs {
         e.str(&a.to_string());
     }
-    e.str(&extras.plan.to_string());
-    e.u32(extras.retries);
-    e.u64(cfg.heartbeat_interval.as_millis() as u64);
-    e.boolean(extras.supervised);
-    match extras.resume {
+    e.str(&plan.to_string());
+    e.u32(cfg.effective_retries());
+    match resume {
         Some((epochs, blob)) => {
             e.u8(1);
             e.u32(epochs);
@@ -291,17 +260,14 @@ fn encode_job(
 
 struct WireJob {
     job: NetJob,
-    fail_rank: Option<usize>,
     io_deadline: Duration,
     connect_deadline: Duration,
-    nproc: usize,
+    /// Every rank's mesh address, indexed by rank.
     addrs: Vec<Addr>,
     plan: FaultPlan,
     retries: u32,
-    heartbeat_interval: Duration,
-    supervised: bool,
     /// Respawn resume state: committed epoch count + this rank's
-    /// checkpointed memory (an [`encode_memory`] blob).
+    /// encoded checkpoint.
     resume: Option<(u32, Vec<u8>)>,
 }
 
@@ -337,13 +303,8 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
         }
         fills.push((name, data));
     }
-    let fail_rank = match d.u32().map_err(|e| e.to_string())? {
-        NO_RANK => None,
-        r => Some(r as usize),
-    };
     let io_deadline = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
     let connect_deadline = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
-    let nproc = d.u32().map_err(|e| e.to_string())? as usize;
     let naddrs = d.u32().map_err(|e| e.to_string())? as usize;
     let mut addrs = Vec::with_capacity(naddrs);
     for _ in 0..naddrs {
@@ -352,8 +313,6 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
     }
     let plan = FaultPlan::parse(&d.str().map_err(|e| e.to_string())?)?;
     let retries = d.u32().map_err(|e| e.to_string())?;
-    let heartbeat_interval = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
-    let supervised = d.boolean().map_err(|e| e.to_string())?;
     let resume = match d.u8().map_err(|e| e.to_string())? {
         0 => None,
         _ => {
@@ -374,15 +333,11 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
             trace,
             fills,
         },
-        fail_rank,
         io_deadline,
         connect_deadline,
-        nproc,
         addrs,
         plan,
         retries,
-        heartbeat_interval,
-        supervised,
         resume,
     })
 }
@@ -678,57 +633,86 @@ fn decode_memory(d: &mut Dec, program: &Program) -> Result<Memory, String> {
     Ok(mem)
 }
 
-fn encode_result(
-    res: &Result<(ReplayStats, CommMetrics, Memory), String>,
-    obs: &[TraceEvent],
+/// A rank's state at an epoch cut or at the end of its replay: cumulative
+/// stats, traffic counters and memory. Epoch statuses, the respawn resume
+/// blob and final results all carry one, so a respawned rank resumes its
+/// traffic accounting together with its memory.
+type Checkpoint = (ReplayStats, CommMetrics, Memory);
+type RankResult = Result<Checkpoint, String>;
+
+fn encode_checkpoint(
+    e: &mut Enc,
     program: &Program,
-) -> Vec<u8> {
-    let mut e = Enc::new();
+    stats: &ReplayStats,
+    m: &CommMetrics,
+    mem: &Memory,
+) {
+    e.u64(stats.messages_sent);
+    e.u64(stats.events);
+    encode_metrics(e, m);
+    encode_memory(e, program, mem);
+}
+
+fn decode_checkpoint(d: &mut Dec, program: &Program) -> Result<Checkpoint, String> {
+    let stats = ReplayStats {
+        messages_sent: d.u64().map_err(|e| e.to_string())?,
+        events: d.u64().map_err(|e| e.to_string())?,
+    };
+    let m = decode_metrics(d)?;
+    let mem = decode_memory(d, program)?;
+    Ok((stats, m, mem))
+}
+
+/// A checkpoint behind a `1` tag, or a replay error behind a `0`.
+fn encode_rank_result(
+    e: &mut Enc,
+    program: &Program,
+    res: Result<(&ReplayStats, &CommMetrics, &Memory), &str>,
+) {
     match res {
         Ok((stats, m, mem)) => {
             e.u8(1);
-            e.u64(stats.messages_sent);
-            e.u64(stats.events);
-            encode_metrics(&mut e, m);
-            encode_memory(&mut e, program, mem);
+            encode_checkpoint(e, program, stats, m, mem);
         }
         Err(msg) => {
             e.u8(0);
             e.str(msg);
         }
     }
-    // The timeline rides along in both arms: a failed replay still ships
-    // its comm events and the transport's fault events.
+}
+
+fn decode_rank_result(d: &mut Dec, program: &Program) -> Result<RankResult, String> {
+    match d.u8().map_err(|e| e.to_string())? {
+        0 => Ok(Err(d.str().map_err(|e| e.to_string())?)),
+        _ => Ok(Ok(decode_checkpoint(d, program)?)),
+    }
+}
+
+/// A worker's final report, behind its control tag: its result plus its
+/// observability timeline. The timeline rides along on errors too: a
+/// failed replay still ships its comm events and the transport's fault
+/// events. The control reader strips the tag before [`decode_result`].
+fn encode_result(res: &RankResult, obs: &[TraceEvent], program: &Program) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u8(TAG_RESULT);
+    encode_rank_result(
+        &mut e,
+        program,
+        res.as_ref().map(|(s, m, mem)| (s, m, mem)).map_err(String::as_str),
+    );
     encode_obs_events(&mut e, obs);
     e.buf
 }
-
-type RankResult = Result<(ReplayStats, CommMetrics, Memory), String>;
 
 fn decode_result(
     payload: &[u8],
     program: &Program,
 ) -> Result<(RankResult, Vec<TraceEvent>), String> {
     let mut d = Dec::new(payload);
-    match d.u8().map_err(|e| e.to_string())? {
-        0 => {
-            let msg = d.str().map_err(|e| e.to_string())?;
-            let obs = decode_obs_events(&mut d)?;
-            d.done().map_err(|e| e.to_string())?;
-            Ok((Err(msg), obs))
-        }
-        _ => {
-            let stats = ReplayStats {
-                messages_sent: d.u64().map_err(|e| e.to_string())?,
-                events: d.u64().map_err(|e| e.to_string())?,
-            };
-            let m = decode_metrics(&mut d)?;
-            let mem = decode_memory(&mut d, program)?;
-            let obs = decode_obs_events(&mut d)?;
-            d.done().map_err(|e| e.to_string())?;
-            Ok((Ok((stats, m, mem)), obs))
-        }
-    }
+    let res = decode_rank_result(&mut d, program)?;
+    let obs = decode_obs_events(&mut d)?;
+    d.done().map_err(|e| e.to_string())?;
+    Ok((res, obs))
 }
 
 fn make_init<'a>(
@@ -886,23 +870,24 @@ fn spawn_workers(
 /// validate it exactly like the threaded `validate_replay`: owner slots
 /// bit-for-bit against the reference executor, metrics merged over ranks.
 ///
-/// With any recovery knob set ([`NetRunConfig::supervised`]) the driver
-/// runs the self-healing protocol instead: injected link faults heal via
-/// retransmission, dead workers are respawned from the last epoch
-/// checkpoint, and when the respawn budget is exhausted the whole run
-/// degrades to the in-process thread backend ([`Replayed::degraded`]).
+/// The replay runs as a sequence of generations ([`run_generation`]):
+/// injected link faults heal via retransmission, dead workers are
+/// respawned from the last committed epoch checkpoint, and when the
+/// respawn budget is exhausted the whole run degrades to the in-process
+/// thread backend ([`Replayed::degraded`]).
 pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replayed, String> {
     // Pipeline spans land on the parent's timeline; workers only
     // contribute per-rank comm/fault events.
+    let trace = job.trace;
     let mut pipe = hpf_obs::BufTracer::pipeline();
-    let compiled = if job.trace {
+    let compiled = if trace {
         job.compile_traced(&mut pipe)?
     } else {
         job.compile()?
     };
     let nproc = compiled.spmd.maps.grid.total();
     let init = make_init(&compiled, &job.fills)?;
-    if job.trace {
+    if trace {
         pipe.begin("reference-exec");
     }
     let mut exec = SpmdExec::new(&compiled.spmd, &init).with_trace();
@@ -911,43 +896,116 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
     }
     exec.run()
         .map_err(|e| format!("reference run failed: {:?}", e))?;
-    if job.trace {
+    if trace {
         pipe.end("reference-exec");
         pipe.begin("replay");
     }
 
-    if cfg.supervised() {
-        return supervised_validate_replay(job, cfg, &compiled, nproc, &init, &exec, pipe);
-    }
-
+    let mut recovery = RecoveryCounters::default();
+    let mut salvaged: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
     let listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
-    let parent_addr = listener.addr().map_err(|e| e.to_string())?;
-    let bin = worker_bin()?;
-    let mut children = spawn_workers(&bin, &parent_addr, nproc)?;
-
-    let result = drive_workers(job, cfg, &compiled, nproc, &listener);
-    let reap_errors = reap(&mut children, cfg.result_deadline);
-    let (stats, metrics, mems, rank_obs) = match result {
-        Ok(r) => r,
-        Err(mut e) => {
-            // Child exit diagnostics often explain the protocol error.
-            if !reap_errors.is_empty() {
-                e = format!("{}; {}", e, reap_errors.join("; "));
-            }
-            return Err(e);
-        }
+    let mut plan = cfg.plan().resolve(nproc);
+    let budget = cfg
+        .respawn_budget
+        .unwrap_or_else(|| cfg.effective_retries().max(1));
+    let respawn_retry = RetryPolicy::default();
+    let mut committed = Committed {
+        epoch: 0,
+        ranks: Vec::new(),
     };
-    if !reap_errors.is_empty() {
-        return Err(reap_errors.join("; "));
+    let mut attempts: u32 = 0;
+
+    let results = loop {
+        let outcome = run_generation(
+            job,
+            cfg,
+            &compiled,
+            nproc,
+            &listener,
+            &plan,
+            &mut committed,
+            &mut pipe,
+            &mut recovery,
+            &mut salvaged,
+        )?;
+        let dead = match outcome {
+            GenOutcome::Finished(results) => break results,
+            GenOutcome::Failed { dead } => dead,
+        };
+        attempts += 1;
+        if attempts > budget {
+            let who = dead
+                .iter()
+                .map(|(r, why)| match r {
+                    Some(r) => format!("rank {}: {}", r, why),
+                    None => why.clone(),
+                })
+                .collect::<Vec<_>>()
+                .join("; ");
+            let reason = format!(
+                "respawn budget ({}) exhausted; last generation failed with: {}",
+                budget, who
+            );
+            return degrade_to_threads(&reason, job, &compiled, &init, recovery, pipe);
+        }
+        recovery.respawns += dead.iter().filter(|(r, _)| r.is_some()).count().max(1) as u64;
+        for (r, why) in &dead {
+            let Some(r) = *r else { continue };
+            // The respawned cohort must not re-suffer consumed faults:
+            // this rank's kill fired, and link injections fire at most
+            // once per run.
+            plan = plan.for_respawn(r);
+            if trace {
+                pipe.push(Body::Fault {
+                    name: "respawn".into(),
+                    detail: format!(
+                        "rank {} failed ({}); gang-restarting from checkpoint \
+                         epoch {} (attempt {}/{})",
+                        r, why, committed.epoch, attempts, budget
+                    ),
+                    peer: Some(r),
+                    last_seq: None,
+                });
+            }
+        }
+        if trace && committed.epoch > 0 {
+            pipe.push(Body::Fault {
+                name: "checkpoint".into(),
+                detail: format!(
+                    "gang restart resumes from the checkpoint at epoch cut {} across {} ranks",
+                    committed.epoch, nproc
+                ),
+                peer: None,
+                last_seq: None,
+            });
+        }
+        std::thread::sleep(respawn_retry.delay(attempts - 1));
+    };
+
+    let mut stats = ReplayStats::default();
+    let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
+    let mut mems = Vec::with_capacity(nproc);
+    let mut rank_obs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
+    for (rank, ((s, m, mem), obs)) in results.into_iter().enumerate() {
+        stats.messages_sent += s.messages_sent;
+        stats.events += s.events;
+        metrics.merge(&m);
+        mems.push(mem);
+        if trace {
+            // Fault evidence salvaged from rolled-back generations
+            // precedes the surviving generation's timeline.
+            let mut events = std::mem::take(&mut salvaged[rank]);
+            events.extend(obs);
+            rank_obs.push((rank, events));
+        }
     }
     check_owner_slots(&compiled.spmd, &mems, &exec.mems)
         .map_err(|e| format!("processes vs reference: {}", e))?;
-    let obs = if job.trace {
+    metrics.recovery.merge(&recovery);
+    let obs = trace.then(|| {
         pipe.end("replay");
-        Some(hpf_obs::Trace::merge(pipe.into_events(), rank_obs))
-    } else {
-        None
-    };
+        hpf_obs::Trace::merge(pipe.into_events(), rank_obs)
+    });
     Ok(Replayed {
         mems,
         stats,
@@ -957,12 +1015,42 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
     })
 }
 
-type DriveOutput = (
-    ReplayStats,
-    CommMetrics,
-    Vec<Memory>,
-    Vec<(usize, Vec<TraceEvent>)>,
-);
+/// The respawn budget is spent: re-run the program on the in-process
+/// thread backend, validate as usual, and label the result degraded.
+fn degrade_to_threads(
+    reason: &str,
+    job: &NetJob,
+    compiled: &Compiled,
+    init: &(impl Fn(&mut Memory) + Sync),
+    mut recovery: RecoveryCounters,
+    mut pipe: BufTracer,
+) -> Result<Replayed, String> {
+    let trace = job.trace;
+    recovery.fallbacks += 1;
+    eprintln!(
+        "phpf netrun: {}; degrading to the in-process thread backend",
+        reason
+    );
+    if trace {
+        pipe.push(Body::Fault {
+            name: "fallback".into(),
+            detail: format!("{}; re-running on the thread backend", reason),
+            peer: None,
+            last_seq: None,
+        });
+    }
+    let mut r = validate_replay_traced(&compiled.spmd, init, job.vectorize, trace)?;
+    r.metrics.recovery.merge(&recovery);
+    r.degraded = true;
+    if trace {
+        pipe.end("replay");
+        match &mut r.obs {
+            Some(t) => t.prepend_pipeline(pipe.into_events()),
+            None => r.obs = Some(hpf_obs::Trace::from_pipeline(pipe.into_events())),
+        }
+    }
+    Ok(r)
+}
 
 /// Rendezvous: accept one control connection per rank, each registering
 /// `(rank, data address)`. Returns the per-rank connections and mesh
@@ -1006,127 +1094,85 @@ fn rendezvous(
     ))
 }
 
-fn drive_workers(
-    job: &NetJob,
-    cfg: &NetRunConfig,
-    compiled: &Compiled,
-    nproc: usize,
-    listener: &NetListener,
-) -> Result<DriveOutput, String> {
-    let (mut conns, addrs) = rendezvous(cfg, nproc, listener)?;
-
-    // Dispatch the job (with the address map) to every worker.
-    let empty = FaultPlan::default();
-    let job_blob = encode_job(job, cfg, nproc, &addrs, &JobExtras::unsupervised(&empty));
-    for (rank, conn) in conns.iter_mut().enumerate() {
-        conn.writer
-            .write(FrameKind::Blob, &job_blob)
-            .map_err(|e| format!("dispatching job to worker {}: {}", rank, e))?;
-    }
-
-    // Collect one result per rank.
-    let program = &compiled.spmd.program;
-    let mut stats = ReplayStats::default();
-    let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
-    let mut mems: Vec<Option<Memory>> = (0..nproc).map(|_| None).collect();
-    let mut rank_obs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
-    let mut worker_errors = Vec::new();
-    for (rank, conn) in conns.iter_mut().enumerate() {
-        let payload = read_blob(&mut conn.reader, &format!("result from worker {}", rank))?;
-        let (res, obs) = decode_result(&payload, program)?;
-        match res {
-            Ok((s, m, mem)) => {
-                stats.messages_sent += s.messages_sent;
-                stats.events += s.events;
-                metrics.merge(&m);
-                mems[rank] = Some(mem);
-            }
-            Err(msg) => {
-                // Name the fault events the failed rank saw — they usually
-                // explain the failure better than the replay error does.
-                let faults: Vec<&str> = obs
-                    .iter()
-                    .filter_map(|ev| match &ev.body {
-                        Body::Fault { name, .. } => Some(name.as_str()),
-                        _ => None,
-                    })
-                    .collect();
-                let mut msg = format!("worker {}: {}", rank, msg);
-                if !faults.is_empty() {
-                    msg = format!("{} (faults: {})", msg, faults.join(", "));
-                }
-                worker_errors.push(msg);
-            }
-        }
-        if job.trace {
-            rank_obs.push((rank, obs));
-        }
-    }
-    if !worker_errors.is_empty() {
-        return Err(worker_errors.join("; "));
-    }
-    let mems: Vec<Memory> = mems.into_iter().map(|m| m.unwrap()).collect();
-    Ok((stats, metrics, mems, rank_obs))
-}
-
 // ---------------------------------------------------------------------------
-// Supervised mode: lock-step epochs, heartbeats, checkpoints, gang respawn.
+// The generation protocol: lock-step epochs, heartbeats, checkpoints, gang
+// respawn.
 //
 // The parent runs the replay as a sequence of *epochs* (the executor's
 // loop-level barrier cuts, [`SpmdExec::epoch_cuts`]). After each epoch every
-// worker ships a status — its checkpointed memory plus any fault events its
-// transport healed — and waits for a `Proceed` directive. The parent commits
-// the checkpoint once all ranks report, so there is always a globally
-// consistent cut to restart from. When a worker dies (abrupt socket close,
-// error status, or missed heartbeats) the whole generation is torn down and
+// worker ships a status — its checkpoint plus any fault events its transport
+// healed — and waits for a `Proceed` directive. The parent commits the
+// checkpoint once all ranks report, so there is always a globally consistent
+// cut to restart from. When a worker dies (abrupt socket close, error
+// status, or missed heartbeats) the whole generation is torn down and
 // respawned from the last committed checkpoint: links are meshes of fresh
 // processes, so a gang restart needs no live re-rendezvous, and the pruned
 // fault plan ([`FaultPlan::for_respawn`]) guarantees the same fault never
 // fires twice. When the respawn budget runs dry the caller degrades to the
 // in-process thread backend.
 
-/// Control-frame tags on the worker → parent connection. Tags 0/1 are
-/// never sent (they keep the unsupervised single-blob protocol
-/// unambiguous).
-const TAG_STATUS: u8 = 2;
-const TAG_HEARTBEAT: u8 = 3;
-const TAG_RESULT: u8 = 4;
+/// Control-frame tags: the first byte of every worker → parent frame after
+/// the untagged registration blob.
+const TAG_STATUS: u8 = 0;
+const TAG_HEARTBEAT: u8 = 1;
+const TAG_RESULT: u8 = 2;
 /// Parent → worker directive after a committed epoch.
 const DIRECTIVE_PROCEED: u8 = 1;
 
-fn memory_blob(program: &Program, mem: &Memory) -> Vec<u8> {
-    let mut e = Enc::new();
-    encode_memory(&mut e, program, mem);
-    e.buf
+/// Most epochs a worker replays in lock step. Every epoch end costs a
+/// round trip through the parent and a memory image per rank, so a
+/// program with more loop-level cuts than this stops only at every k-th
+/// one; a respawn then re-runs at most k cuts' worth of work.
+const MAX_EPOCHS: usize = 16;
+
+/// The executor's epoch cuts ([`SpmdExec::epoch_cuts`]) thinned to at most
+/// [`MAX_EPOCHS`] epochs, keeping the first and last boundary. Any subset
+/// of the cuts is a set of consistent restart points, and every worker
+/// derives the same subset from the same trace.
+fn lockstep_cuts(cuts: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let last = cuts.len().saturating_sub(1);
+    let stride = last.div_ceil(MAX_EPOCHS).max(1);
+    cuts.iter()
+        .enumerate()
+        .filter(|&(i, _)| i % stride == 0 || i == last)
+        .map(|(_, c)| c.clone())
+        .collect()
 }
 
-/// One worker's end-of-epoch report.
+/// One worker's end-of-epoch report. The layout is the epoch, the
+/// retransmission count and the fault events, then a [`RankResult`] last,
+/// so the parent can keep a checkpoint as opaque bytes: it only forwards
+/// them to a respawned rank, which decodes them.
 struct StatusMsg {
     epoch: u32,
     /// Cumulative link retransmissions this process performed so far.
     retransmits: u64,
-    /// Checkpointed memory on success, replay error otherwise.
-    body: Result<Memory, String>,
     /// All fault events the worker accumulated so far (cumulative, so a
     /// generation that dies later still leaves its healing on record).
     faults: Vec<TraceEvent>,
+    /// The rank's encoded checkpoint at the cut on success, replay error
+    /// otherwise.
+    body: Result<Vec<u8>, String>,
 }
 
-fn decode_status(payload: &[u8], program: &Program) -> Result<StatusMsg, String> {
+fn decode_status(payload: &[u8]) -> Result<StatusMsg, String> {
     let mut d = Dec::new(payload);
     let epoch = d.u32().map_err(|e| e.to_string())?;
     let retransmits = d.u64().map_err(|e| e.to_string())?;
-    let body = match d.u8().map_err(|e| e.to_string())? {
-        0 => Err(d.str().map_err(|e| e.to_string())?),
-        _ => Ok(decode_memory(&mut d, program)?),
-    };
     let faults = decode_obs_events(&mut d)?;
-    d.done().map_err(|e| e.to_string())?;
+    let body = match d.u8().map_err(|e| e.to_string())? {
+        0 => {
+            let msg = d.str().map_err(|e| e.to_string())?;
+            d.done().map_err(|e| e.to_string())?;
+            Err(msg)
+        }
+        _ => Ok(d.rest().to_vec()),
+    };
     Ok(StatusMsg {
         epoch,
         retransmits,
-        body,
         faults,
+        body,
     })
 }
 
@@ -1206,24 +1252,50 @@ fn kill_generation(children: &mut [(usize, Child)]) {
 }
 
 /// Globally consistent restart state: how many epochs every rank has
-/// committed, and each rank's memory at that cut.
+/// committed, and each rank's encoded checkpoint at that cut.
 struct Committed {
     epoch: u32,
-    mems: Vec<Memory>,
+    ranks: Vec<Vec<u8>>,
 }
 
 enum GenOutcome {
     /// Every rank delivered a successful result.
-    Finished(Vec<(RankResult, Vec<TraceEvent>)>),
+    Finished(Vec<(Checkpoint, Vec<TraceEvent>)>),
     /// At least one rank died or failed; the generation was torn down.
     /// `None` ranks are setup failures not attributable to one worker.
     Failed { dead: Vec<(Option<usize>, String)> },
 }
 
-/// Run one supervised generation: spawn all ranks, drive the lock-step
-/// epoch protocol, and either collect every result or tear the cohort
-/// down on the first failure. Salvages fault evidence (events and
-/// retransmission counts reported in statuses) from failed generations.
+/// How long a failed generation waits for its survivors to report.
+const DRAIN_GRACE: Duration = Duration::from_millis(1500);
+
+/// A generation's failure bookkeeping. A rank is *accounted* once it
+/// delivered a result or failed.
+struct Ledger {
+    accounted: Vec<bool>,
+    failed: Vec<(Option<usize>, String)>,
+    /// Set by the first failure. Until it passes, peers that error out on
+    /// the dead rank's closed links still deliver their error statuses
+    /// (with the fault events they healed this epoch) before the teardown.
+    drain_deadline: Option<Instant>,
+}
+
+impl Ledger {
+    /// Record `rank`'s first failure and start the drain.
+    fn fail(&mut self, rank: usize, why: String) {
+        if !self.accounted[rank] {
+            self.accounted[rank] = true;
+            self.failed.push((Some(rank), why));
+        }
+        self.drain_deadline
+            .get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
+    }
+}
+
+/// Run one generation: spawn all ranks, drive the lock-step epoch
+/// protocol, and either collect every result or tear the cohort down on
+/// the first failure. Salvages fault evidence (events and retransmission
+/// counts reported in statuses) from failed generations.
 #[allow(clippy::too_many_arguments)]
 fn run_generation(
     job: &NetJob,
@@ -1246,17 +1318,10 @@ fn run_generation(
     // Rendezvous + dispatch. Failures here doom the generation, not the
     // run: they are charged to the respawn budget like any worker death.
     let setup = rendezvous(cfg, nproc, listener).and_then(|(mut conns, addrs)| {
-        let retries = cfg.effective_retries();
         for (rank, conn) in conns.iter_mut().enumerate() {
-            let resume_blob =
-                (committed.epoch > 0).then(|| memory_blob(program, &committed.mems[rank]));
-            let extras = JobExtras {
-                plan,
-                retries,
-                supervised: true,
-                resume: resume_blob.as_deref().map(|b| (committed.epoch, b)),
-            };
-            let blob = encode_job(job, cfg, nproc, &addrs, &extras);
+            let resume =
+                (committed.epoch > 0).then(|| (committed.epoch, committed.ranks[rank].as_slice()));
+            let blob = encode_job(job, cfg, &addrs, plan, resume);
             conn.writer
                 .write(FrameKind::Blob, &blob)
                 .map_err(|e| format!("dispatching job to worker {}: {}", rank, e))?;
@@ -1284,93 +1349,50 @@ fn run_generation(
     drop(tx);
 
     let mut last_heard: Vec<Instant> = vec![Instant::now(); nproc];
-    let mut statuses: Vec<Option<Memory>> = (0..nproc).map(|_| None).collect();
-    let mut results: Vec<Option<(RankResult, Vec<TraceEvent>)>> =
+    let mut statuses: Vec<Option<Vec<u8>>> = vec![None; nproc];
+    let mut results: Vec<Option<(Checkpoint, Vec<TraceEvent>)>> =
         (0..nproc).map(|_| None).collect();
     let mut prov_faults: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
     let mut prov_retx: Vec<u64> = vec![0; nproc];
-    let mut failed: Vec<(Option<usize>, String)> = Vec::new();
-    // A rank is "accounted" once it delivered a result or joined `failed`.
-    let mut accounted: Vec<bool> = vec![false; nproc];
-    let mut expect_epoch = committed.epoch;
-    // Once a failure is seen, drain briefly: peers that error out on the
-    // dead rank's closed links deliver their error statuses (with the
-    // fault events they healed this epoch) before the teardown.
-    let mut drain_deadline: Option<Instant> = None;
-    let drain_grace = Duration::from_millis(1500);
-    let start_drain = |dl: &mut Option<Instant>| {
-        dl.get_or_insert_with(|| Instant::now() + drain_grace);
+    let mut ledger = Ledger {
+        accounted: vec![false; nproc],
+        failed: Vec::new(),
+        drain_deadline: None,
     };
+    let mut expect_epoch = committed.epoch;
 
     let outcome = loop {
         match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(ParentMsg::Heartbeat { rank }) => last_heard[rank] = Instant::now(),
             Ok(ParentMsg::Status { rank, payload }) => {
                 last_heard[rank] = Instant::now();
-                match decode_status(&payload, program) {
+                match decode_status(&payload) {
                     Ok(st) => {
                         prov_retx[rank] = st.retransmits;
                         prov_faults[rank] = st.faults;
                         match st.body {
-                            Ok(mem)
-                                if st.epoch == expect_epoch && drain_deadline.is_none() =>
-                            {
-                                statuses[rank] = Some(mem);
-                            }
-                            // A stale or raced status while draining only
-                            // contributes its salvage payload.
+                            Ok(cp) if st.epoch == expect_epoch => statuses[rank] = Some(cp),
+                            // A stale status only contributes its salvage
+                            // payload.
                             Ok(_) => {}
-                            Err(msg) => {
-                                if !accounted[rank] {
-                                    accounted[rank] = true;
-                                    failed.push((
-                                        Some(rank),
-                                        format!("epoch {}: {}", st.epoch, msg),
-                                    ));
-                                }
-                                start_drain(&mut drain_deadline);
-                            }
+                            Err(msg) => ledger.fail(rank, format!("epoch {}: {}", st.epoch, msg)),
                         }
                     }
-                    Err(e) => {
-                        if !accounted[rank] {
-                            accounted[rank] = true;
-                            failed.push((Some(rank), format!("bad status: {}", e)));
-                        }
-                        start_drain(&mut drain_deadline);
-                    }
+                    Err(e) => ledger.fail(rank, format!("bad status: {}", e)),
                 }
             }
             Ok(ParentMsg::Result { rank, payload }) => {
                 last_heard[rank] = Instant::now();
                 match decode_result(&payload, program) {
                     Ok((Ok(res), obs)) => {
-                        accounted[rank] = true;
-                        results[rank] = Some((Ok(res), obs));
+                        ledger.accounted[rank] = true;
+                        results[rank] = Some((res, obs));
                     }
-                    Ok((Err(msg), _)) => {
-                        if !accounted[rank] {
-                            accounted[rank] = true;
-                            failed.push((Some(rank), msg));
-                        }
-                        start_drain(&mut drain_deadline);
-                    }
-                    Err(e) => {
-                        if !accounted[rank] {
-                            accounted[rank] = true;
-                            failed.push((Some(rank), format!("bad result: {}", e)));
-                        }
-                        start_drain(&mut drain_deadline);
-                    }
+                    Ok((Err(msg), _)) => ledger.fail(rank, msg),
+                    Err(e) => ledger.fail(rank, format!("bad result: {}", e)),
                 }
             }
-            Ok(ParentMsg::Gone { rank, why }) => {
-                if !accounted[rank] {
-                    accounted[rank] = true;
-                    failed.push((Some(rank), why));
-                    start_drain(&mut drain_deadline);
-                }
-            }
+            Ok(ParentMsg::Gone { rank, why }) => ledger.fail(rank, why),
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             // All reader threads exited; the state checks below decide.
             Err(mpsc::RecvTimeoutError::Disconnected) => {}
@@ -1379,30 +1401,28 @@ fn run_generation(
         // Deadline-based failure detection: a worker that stops
         // heartbeating is dead to the supervisor even if its socket is
         // still open (wedged process, livelocked replay).
-        for rank in 0..nproc {
-            if !accounted[rank] && last_heard[rank].elapsed() > cfg.heartbeat_deadline {
-                accounted[rank] = true;
+        for (rank, heard) in last_heard.iter().enumerate() {
+            if !ledger.accounted[rank] && heard.elapsed() > HEARTBEAT_DEADLINE {
                 recovery.heartbeat_misses += 1;
                 if trace {
                     pipe.push(Body::Fault {
                         name: "heartbeat-miss".into(),
                         detail: format!(
                             "rank {} silent for more than {:?}",
-                            rank, cfg.heartbeat_deadline
+                            rank, HEARTBEAT_DEADLINE
                         ),
                         peer: Some(rank),
                         last_seq: None,
                     });
                 }
-                failed.push((
-                    Some(rank),
-                    format!("no heartbeat within {:?}", cfg.heartbeat_deadline),
-                ));
-                start_drain(&mut drain_deadline);
+                ledger.fail(
+                    rank,
+                    format!("no heartbeat within {:?}", HEARTBEAT_DEADLINE),
+                );
             }
         }
 
-        match drain_deadline {
+        match ledger.drain_deadline {
             None => {
                 if results.iter().all(|r| r.is_some()) {
                     let out = std::mem::take(&mut results);
@@ -1414,38 +1434,24 @@ fn run_generation(
                     // Commit the epoch: every rank checkpointed this cut,
                     // so it is a globally consistent restart point.
                     committed.epoch = expect_epoch + 1;
-                    committed.mems =
+                    committed.ranks =
                         statuses.iter_mut().map(|s| s.take().unwrap()).collect();
-                    if trace {
-                        pipe.push(Body::Fault {
-                            name: "checkpoint".into(),
-                            detail: format!(
-                                "epoch {} committed across {} ranks",
-                                expect_epoch, nproc
-                            ),
-                            peer: None,
-                            last_seq: None,
-                        });
-                    }
                     expect_epoch += 1;
                     for (rank, w) in writers.iter_mut().enumerate() {
                         if let Err(e) = w.write(FrameKind::Blob, &[DIRECTIVE_PROCEED]) {
-                            if !accounted[rank] {
-                                accounted[rank] = true;
-                                failed.push((
-                                    Some(rank),
-                                    format!("sending proceed: {}", e),
-                                ));
-                            }
-                            start_drain(&mut drain_deadline);
+                            ledger.fail(rank, format!("sending proceed: {}", e));
                         }
                     }
                 }
             }
+            // The drain ends once every rank has failed, delivered its
+            // result, or parked at the epoch barrier with its status in
+            // hand; the grace only bounds a wedged rank.
             Some(dl) => {
-                if accounted.iter().all(|&a| a) || Instant::now() >= dl {
+                let settled = (0..nproc).all(|r| ledger.accounted[r] || statuses[r].is_some());
+                if settled || Instant::now() >= dl {
                     break GenOutcome::Failed {
-                        dead: std::mem::take(&mut failed),
+                        dead: std::mem::take(&mut ledger.failed),
                     };
                 }
             }
@@ -1473,179 +1479,10 @@ fn run_generation(
     }
 }
 
-enum SupvDrive {
-    Done(DriveOutput),
-    Exhausted(String),
-}
-
-/// The supervised replacement for the fire-and-collect driver: run
-/// generations until one finishes, respawning failed cohorts from the
-/// last committed checkpoint, then validate exactly like the default
-/// path. When the respawn budget is exhausted, degrade to the in-process
-/// thread backend and mark the result [`Replayed::degraded`].
-fn supervised_validate_replay(
-    job: &NetJob,
-    cfg: &NetRunConfig,
-    compiled: &Compiled,
-    nproc: usize,
-    init: &(impl Fn(&mut Memory) + Sync),
-    exec: &SpmdExec,
-    mut pipe: BufTracer,
-) -> Result<Replayed, String> {
-    let trace = job.trace;
-    let mut recovery = RecoveryCounters::default();
-    let mut salvaged: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
-    let listener = NetListener::bind(cfg.addr_kind, "netrun").map_err(|e| e.to_string())?;
-    let mut plan = cfg.plan().resolve(nproc);
-    let budget = cfg
-        .respawn_budget
-        .unwrap_or_else(|| cfg.effective_retries().max(1));
-    let respawn_retry = RetryPolicy::default();
-    let mut committed = Committed {
-        epoch: 0,
-        mems: Vec::new(),
-    };
-    let mut attempts: u32 = 0;
-
-    let drive = loop {
-        let outcome = run_generation(
-            job,
-            cfg,
-            compiled,
-            nproc,
-            &listener,
-            &plan,
-            &mut committed,
-            &mut pipe,
-            &mut recovery,
-            &mut salvaged,
-        )?;
-        match outcome {
-            GenOutcome::Finished(results) => {
-                let mut stats = ReplayStats::default();
-                let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
-                let mut mems = Vec::with_capacity(nproc);
-                let mut rank_obs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
-                for (rank, (res, obs)) in results.into_iter().enumerate() {
-                    let (s, m, mem) =
-                        res.expect("finished generation carries only successful results");
-                    stats.messages_sent += s.messages_sent;
-                    stats.events += s.events;
-                    metrics.merge(&m);
-                    mems.push(mem);
-                    if trace {
-                        rank_obs.push((rank, obs));
-                    }
-                }
-                break SupvDrive::Done((stats, metrics, mems, rank_obs));
-            }
-            GenOutcome::Failed { dead } => {
-                attempts += 1;
-                let who = dead
-                    .iter()
-                    .map(|(r, why)| match r {
-                        Some(r) => format!("rank {}: {}", r, why),
-                        None => why.clone(),
-                    })
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                if attempts > budget {
-                    break SupvDrive::Exhausted(format!(
-                        "respawn budget ({}) exhausted; last generation failed with: {}",
-                        budget, who
-                    ));
-                }
-                recovery.respawns += dead.iter().filter(|(r, _)| r.is_some()).count().max(1) as u64;
-                for (r, why) in &dead {
-                    let Some(r) = *r else { continue };
-                    // The respawned cohort must not re-suffer consumed
-                    // faults: this rank's kill fired, and link injections
-                    // fire at most once per run.
-                    plan = plan.for_respawn(r);
-                    if trace {
-                        pipe.push(Body::Fault {
-                            name: "respawn".into(),
-                            detail: format!(
-                                "rank {} failed ({}); gang-restarting from checkpoint \
-                                 epoch {} (attempt {}/{})",
-                                r, why, committed.epoch, attempts, budget
-                            ),
-                            peer: Some(r),
-                            last_seq: None,
-                        });
-                    }
-                }
-                std::thread::sleep(respawn_retry.delay(attempts - 1));
-            }
-        }
-    };
-
-    match drive {
-        SupvDrive::Done((stats, mut metrics, mems, mut rank_obs)) => {
-            check_owner_slots(&compiled.spmd, &mems, &exec.mems)
-                .map_err(|e| format!("processes vs reference: {}", e))?;
-            metrics.recovery.merge(&recovery);
-            let obs = if trace {
-                pipe.end("replay");
-                // Fault evidence salvaged from rolled-back generations
-                // precedes the surviving generation's timeline.
-                for (rank, list) in salvaged.iter_mut().enumerate() {
-                    if list.is_empty() {
-                        continue;
-                    }
-                    if let Some((_, evs)) = rank_obs.iter_mut().find(|(r, _)| *r == rank) {
-                        let mut merged = std::mem::take(list);
-                        merged.append(evs);
-                        *evs = merged;
-                    } else {
-                        rank_obs.push((rank, std::mem::take(list)));
-                    }
-                }
-                Some(hpf_obs::Trace::merge(pipe.into_events(), rank_obs))
-            } else {
-                None
-            };
-            Ok(Replayed {
-                mems,
-                stats,
-                metrics,
-                obs,
-                degraded: false,
-            })
-        }
-        SupvDrive::Exhausted(reason) => {
-            recovery.fallbacks += 1;
-            eprintln!(
-                "phpf netrun: {}; degrading to the in-process thread backend",
-                reason
-            );
-            if trace {
-                pipe.push(Body::Fault {
-                    name: "fallback".into(),
-                    detail: format!("{}; re-running on the thread backend", reason),
-                    peer: None,
-                    last_seq: None,
-                });
-            }
-            let mut r = validate_replay_traced(&compiled.spmd, init, job.vectorize, trace)?;
-            r.metrics.recovery.merge(&recovery);
-            r.degraded = true;
-            if trace {
-                pipe.end("replay");
-                match &mut r.obs {
-                    Some(t) => t.prepend_pipeline(pipe.into_events()),
-                    None => r.obs = Some(hpf_obs::Trace::from_pipeline(pipe.into_events())),
-                }
-            }
-            Ok(r)
-        }
-    }
-}
-
 /// Entry point of the `networker` binary: one spawned process per rank.
 /// Reads its rank and the parent address from the environment, registers,
-/// receives the job, meshes with its peers, replays its rank and reports
-/// back.
+/// receives the job, meshes with its peers, replays its rank epoch by
+/// epoch and reports back, heartbeating the whole time.
 pub fn worker_main() -> Result<(), String> {
     let parent = std::env::var(ENV_PARENT)
         .map_err(|_| format!("{} not set (run via the socket backend driver)", ENV_PARENT))?;
@@ -1682,52 +1519,73 @@ pub fn worker_main() -> Result<(), String> {
 
     let payload = read_blob(&mut reader, "job from parent")?;
     let wire = decode_job(&payload)?;
-    if wire.supervised {
-        return worker_supervised(&wire, rank, &listener, reader, writer);
+    // Heartbeats start before the (potentially slow) recompile and mesh
+    // so the parent's deadline detector never mistakes a busy worker for
+    // a dead one.
+    let control = Arc::new(Mutex::new(writer));
+    let heartbeat = Heartbeat::start(Arc::clone(&control), HEARTBEAT_INTERVAL);
+    let res = replay_epochs(&wire, rank, &listener, &mut reader, &control);
+    heartbeat.stop();
+    res
+}
+
+/// A worker's heartbeat thread: beats on the control link every interval
+/// until [`Heartbeat::stop`], which wakes it at once instead of letting it
+/// sleep out the interval.
+struct Heartbeat {
+    stop: mpsc::Sender<()>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Heartbeat {
+    fn start<W: Write + Send + 'static>(
+        control: Arc<Mutex<FrameWriter<W>>>,
+        interval: Duration,
+    ) -> Heartbeat {
+        let (stop, stopped) = mpsc::channel();
+        let thread = std::thread::spawn(move || loop {
+            if control
+                .lock()
+                .unwrap()
+                .write(FrameKind::Blob, &[TAG_HEARTBEAT])
+                .is_err()
+            {
+                return;
+            }
+            if stopped.recv_timeout(interval) != Err(mpsc::RecvTimeoutError::Timeout) {
+                return;
+            }
+        });
+        Heartbeat { stop, thread }
     }
+
+    fn stop(self) {
+        let _ = self.stop.send(());
+        let _ = self.thread.join();
+    }
+}
+
+/// The worker's replay: recompile, record the trace, resume from the
+/// supervisor's checkpoint if there is one, then replay epoch by epoch —
+/// a status after each, wait for `Proceed` — and send the tagged result.
+fn replay_epochs(
+    wire: &WireJob,
+    rank: usize,
+    listener: &NetListener,
+    reader: &mut FrameReader<NetStream>,
+    control: &Mutex<FrameWriter<NetStream>>,
+) -> Result<(), String> {
     let compiled = wire.job.compile()?;
     let program = &compiled.spmd.program;
-
-    let (result, obs) = run_rank(&wire, rank, &compiled, &listener);
-    writer
-        .write(FrameKind::Blob, &encode_result(&result, &obs, program))
-        .map_err(|e| format!("sending result: {}", e))?;
-    result.map(|_| ())
-}
-
-/// Replay this rank, collecting its observability timeline when the job
-/// asks for one — on errors too, so a dead peer's fault events (with the
-/// link's last acknowledged sequence number) still reach the parent.
-fn run_rank(
-    wire: &WireJob,
-    rank: usize,
-    compiled: &Compiled,
-    listener: &NetListener,
-) -> (RankResult, Vec<TraceEvent>) {
-    let mut obs = if wire.job.trace {
-        Some(hpf_obs::BufTracer::for_rank(rank))
-    } else {
-        None
-    };
-    let res = run_rank_inner(wire, rank, compiled, listener, obs.as_mut());
-    (res, obs.map(|o| o.into_events()).unwrap_or_default())
-}
-
-fn run_rank_inner(
-    wire: &WireJob,
-    rank: usize,
-    compiled: &Compiled,
-    listener: &NetListener,
-    obs: Option<&mut hpf_obs::BufTracer>,
-) -> Result<(ReplayStats, CommMetrics, Memory), String> {
     let nproc = compiled.spmd.maps.grid.total();
-    if nproc != wire.nproc {
+    if nproc != wire.addrs.len() {
         return Err(format!(
             "compiled grid has {} processors, job says {}",
-            nproc, wire.nproc
+            nproc,
+            wire.addrs.len()
         ));
     }
-    let init = make_init(compiled, &wire.job.fills)?;
+    let init = make_init(&compiled, &wire.job.fills)?;
     // Recompute the trace deterministically — same compiler, same source,
     // same fills as the parent and every sibling.
     let mut exec = SpmdExec::new(&compiled.spmd, &init).with_trace();
@@ -1736,104 +1594,29 @@ fn run_rank_inner(
     }
     exec.run()
         .map_err(|e| format!("reference run failed: {:?}", e))?;
+    let cuts = lockstep_cuts(exec.epoch_cuts());
     let trace = exec.trace.take().expect("trace recorded");
 
-    let mut mem = Memory::zeroed(&compiled.spmd.program);
-    init(&mut mem);
-    let mesh_cfg = SocketConfig {
-        io_deadline: wire.io_deadline,
-        connect_deadline: wire.connect_deadline,
-        ..SocketConfig::default()
+    let start_epoch = wire.resume.as_ref().map_or(0, |(done, _)| *done as usize);
+    let (mut stats, mut metrics, mut mem) = match &wire.resume {
+        // Resume from the supervisor's committed checkpoint — memory and
+        // traffic counters alike — instead of the initial fills.
+        Some((_, blob)) => {
+            let mut d = Dec::new(blob);
+            let cp = decode_checkpoint(&mut d, program)?;
+            d.done().map_err(|e| e.to_string())?;
+            cp
+        }
+        None => {
+            let mut mem = Memory::zeroed(program);
+            init(&mut mem);
+            (
+                ReplayStats::default(),
+                CommMetrics::new(nproc, compiled.spmd.comms.len()),
+                mem,
+            )
+        }
     };
-    let mut transport =
-        SocketTransport::connect_mesh(rank, nproc, listener, &wire.addrs, mesh_cfg)
-            .map_err(|e: NetError| format!("proc {}: mesh: {}", rank, e))?;
-    if wire.fail_rank == Some(rank) {
-        // Fault injection: die abruptly after the handshake so peers see
-        // a closed link mid-replay, not a clean goodbye.
-        std::process::abort();
-    }
-    let (stats, metrics) =
-        replay_rank_traced(&compiled.spmd, &trace[rank], &mut mem, &mut transport, obs)?;
-    Ok((stats, metrics, mem))
-}
-
-/// Supervised worker: heartbeats on a background thread, lock-step epoch
-/// replay with per-epoch checkpoint statuses, fault injection from the
-/// wire plan, and a final tagged result frame.
-fn worker_supervised(
-    wire: &WireJob,
-    rank: usize,
-    listener: &NetListener,
-    mut reader: FrameReader<NetStream>,
-    writer: FrameWriter<NetStream>,
-) -> Result<(), String> {
-    // Heartbeats start before the (potentially slow) recompile and mesh
-    // so the parent's deadline detector never mistakes a busy worker for
-    // a dead one.
-    let control = Arc::new(Mutex::new(writer));
-    let stop = Arc::new(AtomicBool::new(false));
-    let hb = {
-        let control = Arc::clone(&control);
-        let stop = Arc::clone(&stop);
-        let interval = wire.heartbeat_interval.max(Duration::from_millis(10));
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if control
-                    .lock()
-                    .unwrap()
-                    .write(FrameKind::Blob, &[TAG_HEARTBEAT])
-                    .is_err()
-                {
-                    return;
-                }
-                std::thread::sleep(interval);
-            }
-        })
-    };
-    let res = worker_supervised_inner(wire, rank, listener, &mut reader, &control);
-    stop.store(true, Ordering::Relaxed);
-    let _ = hb.join();
-    res
-}
-
-fn worker_supervised_inner(
-    wire: &WireJob,
-    rank: usize,
-    listener: &NetListener,
-    reader: &mut FrameReader<NetStream>,
-    control: &Arc<Mutex<FrameWriter<NetStream>>>,
-) -> Result<(), String> {
-    let compiled = wire.job.compile()?;
-    let program = &compiled.spmd.program;
-    let nproc = compiled.spmd.maps.grid.total();
-    if nproc != wire.nproc {
-        return Err(format!(
-            "compiled grid has {} processors, job says {}",
-            nproc, wire.nproc
-        ));
-    }
-    let init = make_init(&compiled, &wire.job.fills)?;
-    let mut exec = SpmdExec::new(&compiled.spmd, &init).with_trace();
-    if !wire.job.vectorize {
-        exec = exec.without_vectorization();
-    }
-    exec.run()
-        .map_err(|e| format!("reference run failed: {:?}", e))?;
-    let cuts = exec.epoch_cuts().to_vec();
-    let trace = exec.trace.take().expect("trace recorded");
-
-    let mut mem = Memory::zeroed(program);
-    init(&mut mem);
-    let mut start_epoch = 0usize;
-    if let Some((done, blob)) = &wire.resume {
-        // Resume from the supervisor's committed checkpoint instead of
-        // the initial fills.
-        let mut d = Dec::new(blob);
-        mem = decode_memory(&mut d, program)?;
-        d.done().map_err(|e| e.to_string())?;
-        start_epoch = *done as usize;
-    }
 
     let injector = (!wire.plan.is_empty()).then(|| FaultInjector::new(&wire.plan, rank));
     let mesh_cfg = SocketConfig {
@@ -1852,16 +1635,9 @@ fn worker_supervised_inner(
     if let Some(inj) = &injector {
         transport.set_fault_injector(inj.clone());
     }
-    if wire.fail_rank == Some(rank) {
-        // Legacy abrupt-death injection: deliberately NOT rescued — it
-        // models a crash outside the supervised protocol.
-        std::process::abort();
-    }
 
     let mut obs = wire.job.trace.then(|| BufTracer::for_rank(rank));
     let mut fault_log: Vec<TraceEvent> = Vec::new();
-    let mut stats = ReplayStats::default();
-    let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
     let events = &trace[rank];
     let nepochs = cuts.len().saturating_sub(1);
     for epoch in start_epoch..nepochs {
@@ -1902,17 +1678,14 @@ fn worker_supervised_inner(
         enc.u8(TAG_STATUS);
         enc.u32(epoch as u32);
         enc.u64(transport.retransmits());
-        match &res {
-            Ok(()) => {
-                enc.u8(1);
-                encode_memory(&mut enc, program, &mem);
-            }
-            Err(msg) => {
-                enc.u8(0);
-                enc.str(msg);
-            }
-        }
         encode_obs_events(&mut enc, &faults);
+        encode_rank_result(
+            &mut enc,
+            program,
+            res.as_ref()
+                .map(|()| (&stats, &metrics, &mem))
+                .map_err(String::as_str),
+        );
         let sent = control.lock().unwrap().write(FrameKind::Blob, &enc.buf);
         res?;
         sent.map_err(|e| format!("sending epoch {} status: {}", epoch, e))?;
@@ -1936,12 +1709,57 @@ fn worker_supervised_inner(
         Err(e) => Err(format!("proc {}: teardown: {}", rank, e)),
     };
     let obs_events = obs.map(|o| o.into_events()).unwrap_or_default();
-    let mut blob = vec![TAG_RESULT];
-    blob.extend(encode_result(&result, &obs_events, program));
     control
         .lock()
         .unwrap()
-        .write(FrameKind::Blob, &blob)
+        .write(
+            FrameKind::Blob,
+            &encode_result(&result, &obs_events, program),
+        )
         .map_err(|e| format!("sending result: {}", e))?;
     result.map(|_| ())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lockstep_cuts_keep_both_ends_and_at_most_max_epochs() {
+        let cuts = |n: usize| -> Vec<Vec<usize>> { (0..=n).map(|i| vec![i]).collect() };
+        assert_eq!(
+            lockstep_cuts(&cuts(11)),
+            cuts(11),
+            "short runs keep every cut"
+        );
+        for n in [MAX_EPOCHS + 1, 63, 100] {
+            let thin = lockstep_cuts(&cuts(n));
+            assert!(
+                thin.len() - 1 <= MAX_EPOCHS,
+                "{} cuts thinned to {}",
+                n,
+                thin.len()
+            );
+            assert_eq!(thin.first(), Some(&vec![0]));
+            assert_eq!(thin.last(), Some(&vec![n]));
+        }
+        assert!(lockstep_cuts(&[]).is_empty());
+    }
+
+    #[test]
+    fn heartbeat_stop_does_not_wait_out_the_interval() {
+        let control = Arc::new(Mutex::new(FrameWriter::new(Vec::<u8>::new())));
+        let heartbeat = Heartbeat::start(Arc::clone(&control), Duration::from_secs(10));
+        // Let the first beat go out so the thread is parked in its wait.
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        heartbeat.stop();
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(1), "stop took {:?}", took);
+        assert_eq!(
+            Arc::strong_count(&control),
+            1,
+            "the heartbeat thread must have exited"
+        );
+    }
 }

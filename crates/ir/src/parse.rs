@@ -664,6 +664,9 @@ impl Parser {
     ) -> Result<(), ParseError> {
         loop {
             let name = lp.expect_ident()?;
+            if self.program.vars.lookup(&name).is_some() {
+                return lp.err(format!("duplicate declaration of '{}'", name));
+            }
             if lp.eat_sym("(") {
                 let mut dims = Vec::new();
                 loop {

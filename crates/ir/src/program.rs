@@ -30,7 +30,8 @@ impl VarTable {
     }
 
     /// Declare a variable; panics on duplicate names (Fortran would reject
-    /// the program too).
+    /// the program too). The parser checks first and reports a duplicate
+    /// as a line-anchored diagnostic instead.
     pub fn declare(&mut self, info: VarInfo) -> VarId {
         assert!(
             !self.by_name.contains_key(&info.name),

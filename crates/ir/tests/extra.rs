@@ -229,3 +229,11 @@ q = (a > 1) .AND. (a < 10) .OR. (a == 0)
     assert_eq!(mem.scalar(p.vars.lookup("q").unwrap()), Value::Bool(true));
     let _ = BinOp::And;
 }
+
+#[test]
+fn duplicate_declaration_is_a_line_anchored_diagnostic() {
+    let src = "REAL x\nINTEGER k\nREAL X\n";
+    let err = parse_program(src).expect_err("a case-insensitive duplicate must be rejected");
+    assert_eq!(err.line, 3, "{}", err);
+    assert!(err.msg.contains("duplicate declaration of 'x'"), "{}", err);
+}

@@ -416,6 +416,14 @@ impl<'a> Dec<'a> {
         }
     }
 
+    /// Consume and return the unread remainder of the payload: an opaque
+    /// tail the caller forwards without decoding it.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let tail = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        tail
+    }
+
     /// Assert the payload was fully consumed.
     pub fn done(&self) -> Result<(), FrameError> {
         if self.pos != self.buf.len() {

@@ -116,7 +116,7 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 events = json.load(open(sys.argv[1]))
 assert isinstance(events, list) and events, "trace must be a non-empty JSON array"
-begins = ends = comms = 0
+begins = ends = comms = faults = 0
 span_names = []
 for e in events:
     ph = e["ph"]
@@ -134,12 +134,15 @@ for e in events:
         ends += 1
     else:
         assert e["cat"] in ("comm", "fault"), e
+        if e["cat"] == "fault":
+            faults += 1
         if e["cat"] == "comm":
             comms += 1
             args = e["args"]
             for key in ("pattern", "place", "elems"):
                 assert key in args, f"comm event missing {key}: {e}"
 assert begins == ends, f"unbalanced spans: {begins} begins, {ends} ends"
+assert faults == 0, f"a clean socket trace carries {faults} fault events"
 for phase in ("parse", "ssa", "mapping", "privatization", "lower", "replay"):
     assert phase in span_names, f"missing pipeline span {phase!r}: {span_names}"
 assert comms > 0, "trace carries no communication events"
@@ -154,6 +157,10 @@ else
             exit 1
         }
     done
+    if grep -q '"cat":"fault"' "$tracefile"; then
+        echo "FAIL: clean socket trace carries fault events" >&2
+        exit 1
+    fi
 fi
 
 echo "==> chaos smoke (TOMCATV small, socket backend, injected faults)"
@@ -194,10 +201,23 @@ echo "$bench" | grep -q '"recovery":{"retransmits":0,"heartbeat_misses":0,"respa
 }
 # The empty plan stays free of recovery side effects: zero counters.
 out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf --backend socket 2>&1)
-echo "$out" | grep '^BENCH_JSON {' | grep -q '"recovery":{"retransmits":0,"heartbeat_misses":0,"respawns":0,"fallbacks":0}' || {
-    echo "FAIL: fault-free run reported nonzero recovery counters" >&2
-    echo "$out" | grep '^BENCH_JSON {' >&2
+clean=$(echo "$out" | grep '^BENCH_JSON {') || {
+    echo "FAIL: fault-free run printed no BENCH_JSON line" >&2
+    echo "$out" >&2
     exit 1
 }
+echo "$clean" | grep -q '"recovery":{"retransmits":0,"heartbeat_misses":0,"respawns":0,"fallbacks":0}' || {
+    echo "FAIL: fault-free run reported nonzero recovery counters" >&2
+    echo "$clean" >&2
+    exit 1
+}
+# A healed run reports the clean run's logical traffic: respawned ranks
+# resume their counters from the checkpoint along with their memory.
+faulted_msgs=$(echo "$bench" | sed -n 's/.*"metrics":{"messages":\([0-9]*\).*/\1/p')
+clean_msgs=$(echo "$clean" | sed -n 's/.*"metrics":{"messages":\([0-9]*\).*/\1/p')
+if [ -z "$faulted_msgs" ] || [ "$faulted_msgs" != "$clean_msgs" ]; then
+    echo "FAIL: chaos run reported \"messages\":$faulted_msgs, the clean run $clean_msgs" >&2
+    exit 1
+fi
 
 echo "OK: build, tests, lints, verification, bench output, socket smoke, trace smoke and chaos smoke all clean"

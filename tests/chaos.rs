@@ -7,8 +7,10 @@
 
 use phpf::compile::netrun::{self, FaultPlan, NetJob, NetRunConfig};
 use phpf::kernels::{appsp, dgefa, tomcatv};
+use phpf::obs::Body;
 use phpf::spmd::exec::Event;
 use phpf::spmd::{check_owner_slots, validate_replay_opts, Replayed, SpmdExec};
+use std::time::{Duration, Instant};
 
 const SOURCE_N: i64 = 12;
 const SOURCE_P: usize = 4;
@@ -127,6 +129,11 @@ fn gang_respawn_resumes_from_checkpoint() {
 
     check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
         .expect("post-respawn memories must be bit-identical to the thread run");
+    assert_eq!(
+        r.metrics.per_proc, threads.metrics.per_proc,
+        "a respawned rank must resume its traffic counters with its memory"
+    );
+    assert_eq!(r.stats.messages_sent, threads.stats.messages_sent);
 
     let trace = r.obs.expect("trace requested");
     let names = trace.fault_names();
@@ -231,6 +238,12 @@ fn each_kernel_heals_corrupt_frame_plus_worker_kill() {
         assert_eq!(r.metrics.recovery.fallbacks, 0, "{}", name);
         check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
             .unwrap_or_else(|e| panic!("{}: memories diverge from thread run: {}", name, e));
+        assert_eq!(
+            r.metrics.per_proc, threads.metrics.per_proc,
+            "{}: a healed run must report the clean run's traffic",
+            name
+        );
+        assert_eq!(r.stats.messages_sent, threads.stats.messages_sent, "{}", name);
     }
 }
 
@@ -263,7 +276,8 @@ fn supervised_clean_run_has_zero_counters() {
 /// When the respawn budget cannot absorb the failures, the driver degrades
 /// gracefully: the run still succeeds — on the in-process thread backend —
 /// and says so via `degraded`, the `fallbacks` counter, and a `fallback`
-/// trace event.
+/// trace event whose reason names the dead rank. Detecting the killed
+/// worker is deadline-bounded: the run never hangs on the missing peer.
 #[test]
 fn exhausted_budget_degrades_to_thread_backend() {
     let job = faulted_job(true);
@@ -275,8 +289,14 @@ fn exhausted_budget_degrades_to_thread_backend() {
         respawn_budget: Some(0),
         ..NetRunConfig::default()
     };
+    let start = Instant::now();
     let r = netrun::socket_validate_replay(&job, &cfg)
         .expect("exhausted budget must degrade, not fail");
+    assert!(
+        start.elapsed() < Duration::from_secs(40),
+        "detection took {:?}",
+        start.elapsed()
+    );
     assert!(r.degraded, "the result must be flagged as degraded");
     assert_eq!(r.metrics.recovery.fallbacks, 1);
     assert_eq!(r.metrics.recovery.respawns, 0, "budget of zero allows no respawn");
@@ -290,5 +310,18 @@ fn exhausted_budget_degrades_to_thread_backend() {
         names.contains(&"fallback"),
         "trace must record the degradation, got {:?}",
         names
+    );
+    let reason = trace
+        .events
+        .iter()
+        .find_map(|ev| match &ev.body {
+            Body::Fault { name, detail, .. } if name == "fallback" => Some(detail.as_str()),
+            _ => None,
+        })
+        .expect("fallback event");
+    assert!(
+        reason.contains("rank 1:"),
+        "the fallback reason must name the dead rank: {}",
+        reason
     );
 }

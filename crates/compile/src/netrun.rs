@@ -354,7 +354,6 @@ fn intern_pattern(name: &str) -> Option<&'static str> {
         "point-to-point",
         metrics::REDUCE,
         metrics::UNTRACKED,
-        metrics::ELEMENT,
         metrics::CONTROL,
     ]
     .into_iter()

@@ -3,8 +3,12 @@
 //! Every SPMD lowering produced by the rest of the workspace is validated
 //! against this interpreter: the paper's privatization and mapping decisions
 //! must never change program results, only where computation and data live.
+//!
+//! The module also holds the workspace's one evaluator — [`eval`] and
+//! [`assign`], generic over an [`Operands`] source — which the interpreter,
+//! the SPMD executor and the replay workers all run.
 
-use crate::expr::{BinOp, Expr, Intrinsic, UnOp};
+use crate::expr::{ArrayRef, BinOp, Expr, Intrinsic, UnOp};
 use crate::program::{Program, VarId};
 use crate::stmt::{LValue, Label, Stmt, StmtId};
 use crate::types::{ScalarTy, VarKind};
@@ -206,8 +210,120 @@ impl std::error::Error for InterpError {}
 pub struct InterpStats {
     /// Number of statement executions.
     pub steps: u64,
-    /// Number of arithmetic operations evaluated (flop-ish count).
-    pub ops: u64,
+}
+
+/// Where the shared evaluator ([`eval`], [`assign`]) reads its operands
+/// and stores its results. The sequential interpreter and the replay
+/// workers read one [`Memory`]; the SPMD executor resolves each read to its
+/// owner processor and accounts for the fetch. The evaluator is generic
+/// over this trait, so every use is monomorphised and the per-expression
+/// path has no dynamic dispatch.
+pub trait Operands {
+    /// Read scalar `v`.
+    fn scalar(&mut self, v: VarId) -> Result<Value, InterpError>;
+    /// Read the element of `r.array` at subscripts `idx`, whose
+    /// bounds-checked linear offset is `off`.
+    fn element(&mut self, r: &ArrayRef, idx: &[i64], off: usize) -> Result<Value, InterpError>;
+    /// The memory assignments store into.
+    fn dest(&mut self) -> &mut Memory;
+}
+
+impl Operands for Memory {
+    fn scalar(&mut self, v: VarId) -> Result<Value, InterpError> {
+        Ok(Memory::scalar(self, v))
+    }
+
+    fn element(&mut self, r: &ArrayRef, _idx: &[i64], off: usize) -> Result<Value, InterpError> {
+        Ok(self.array(r.array).get(off))
+    }
+
+    fn dest(&mut self) -> &mut Memory {
+        self
+    }
+}
+
+/// Evaluate an expression.
+pub fn eval<O: Operands>(p: &Program, e: &Expr, o: &mut O) -> Result<Value, InterpError> {
+    match e {
+        Expr::IntLit(v) => Ok(Value::Int(*v)),
+        Expr::RealLit(v) => Ok(Value::Real(*v)),
+        Expr::BoolLit(b) => Ok(Value::Bool(*b)),
+        Expr::Scalar(v) => o.scalar(*v),
+        Expr::Array(r) => {
+            let (idx, off) = subscript(p, r, o)?;
+            o.element(r, &idx, off)
+        }
+        Expr::Unary(op, x) => {
+            let v = eval(p, x, o)?;
+            match op {
+                UnOp::Neg => match v {
+                    Value::Int(i) => Ok(Value::Int(-i)),
+                    Value::Real(r) => Ok(Value::Real(-r)),
+                    Value::Bool(_) => Err(InterpError::TypeError("negating LOGICAL".into())),
+                },
+                UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
+            }
+        }
+        Expr::Binary(op, a, b) => {
+            let va = eval(p, a, o)?;
+            let vb = eval(p, b, o)?;
+            eval_binop(*op, va, vb)
+        }
+        Expr::Intrinsic(i, args) => {
+            let mut vals = Vec::with_capacity(args.len());
+            for a in args {
+                vals.push(eval(p, a, o)?);
+            }
+            eval_intrinsic(*i, &vals)
+        }
+    }
+}
+
+/// Evaluate the subscripts of `r`; returns them with their linear offset,
+/// or [`InterpError::OutOfBounds`] naming the array.
+fn subscript<O: Operands>(
+    p: &Program,
+    r: &ArrayRef,
+    o: &mut O,
+) -> Result<(Vec<i64>, usize), InterpError> {
+    let mut idx = Vec::with_capacity(r.subs.len());
+    for s in &r.subs {
+        idx.push(eval(p, s, o)?.as_int()?);
+    }
+    let info = p.vars.info(r.array);
+    let shape = info.shape().expect("array ref to scalar");
+    if !shape.contains(&idx) {
+        return Err(InterpError::OutOfBounds {
+            array: info.name.clone(),
+            index: idx,
+        });
+    }
+    let off = shape.linearize(&idx);
+    Ok((idx, off))
+}
+
+/// Execute `lhs = rhs`: the rhs is evaluated before the lhs subscripts, and
+/// the value is coerced to the target's declared type (Fortran implicit
+/// conversion on assignment).
+pub fn assign<O: Operands>(
+    p: &Program,
+    lhs: &LValue,
+    rhs: &Expr,
+    o: &mut O,
+) -> Result<(), InterpError> {
+    let val = eval(p, rhs, o)?;
+    match lhs {
+        LValue::Scalar(v) => {
+            let val = val.coerce(p.vars.info(*v).ty)?;
+            o.dest().set_scalar(*v, val);
+        }
+        LValue::Array(r) => {
+            let (_, off) = subscript(p, r, o)?;
+            let val = val.coerce(p.vars.info(r.array).ty)?;
+            o.dest().array_mut(r.array).set(off, val)?;
+        }
+    }
+    Ok(())
 }
 
 enum Flow {
@@ -233,14 +349,13 @@ impl<'p> Interp<'p> {
 
     /// Run the whole program against `mem`.
     pub fn run(mut self, mem: &mut Memory) -> Result<InterpStats, InterpError> {
-        let body: Vec<StmtId> = self.program.body.clone();
-        match self.exec_block(&body, mem)? {
+        match self.exec_block(&self.program.body, mem)? {
             Flow::Normal => Ok(self.stats),
             Flow::Goto(l) => Err(InterpError::UnresolvedGoto(l.0)),
         }
     }
 
-    fn exec_block(&mut self, block: &[StmtId], mem: &mut Memory) -> Result<Flow, InterpError> {
+    fn exec_block(&mut self, block: &'p [StmtId], mem: &mut Memory) -> Result<Flow, InterpError> {
         let mut idx = 0;
         while idx < block.len() {
             match self.exec_stmt(block[idx], mem)? {
@@ -265,20 +380,10 @@ impl<'p> Interp<'p> {
         if self.stats.steps > self.step_limit {
             return Err(InterpError::StepLimit);
         }
-        match self.program.stmt(id) {
+        let p = self.program;
+        match p.stmt(id) {
             Stmt::Assign { lhs, rhs } => {
-                let val = self.eval(rhs, mem)?;
-                match lhs {
-                    LValue::Scalar(v) => {
-                        let ty = self.program.vars.info(*v).ty;
-                        mem.set_scalar(*v, val.coerce(ty)?);
-                    }
-                    LValue::Array(r) => {
-                        let ty = self.program.vars.info(r.array).ty;
-                        let off = self.array_offset(r.array, &r.subs, mem)?;
-                        mem.array_mut(r.array).set(off, val.coerce(ty)?)?;
-                    }
-                }
+                assign(p, lhs, rhs, mem)?;
                 Ok(Flow::Normal)
             }
             Stmt::Do {
@@ -288,18 +393,17 @@ impl<'p> Interp<'p> {
                 step,
                 body,
             } => {
-                let lo = self.eval(lo, mem)?.as_int()?;
-                let hi = self.eval(hi, mem)?.as_int()?;
-                let step = self.eval(step, mem)?.as_int()?;
+                let lo = eval(p, lo, mem)?.as_int()?;
+                let hi = eval(p, hi, mem)?.as_int()?;
+                let step = eval(p, step, mem)?.as_int()?;
                 if step == 0 {
                     return Err(InterpError::DivisionByZero);
                 }
-                let body = body.clone();
                 let var = *var;
                 let mut i = lo;
                 while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
                     mem.set_scalar(var, Value::Int(i));
-                    match self.exec_block(&body, mem)? {
+                    match self.exec_block(body, mem)? {
                         Flow::Normal => {}
                         // A GOTO escaping the loop body exits the loop
                         // (Fortran: branch out of DO).
@@ -317,89 +421,16 @@ impl<'p> Interp<'p> {
                 then_body,
                 else_body,
             } => {
-                let c = self.eval(cond, mem)?.as_bool()?;
-                let b = if c { then_body.clone() } else { else_body.clone() };
-                self.exec_block(&b, mem)
+                let c = eval(p, cond, mem)?.as_bool()?;
+                self.exec_block(if c { then_body } else { else_body }, mem)
             }
             Stmt::Goto(l) => Ok(Flow::Goto(*l)),
             Stmt::Continue => Ok(Flow::Normal),
         }
     }
-
-    fn array_offset(
-        &mut self,
-        array: VarId,
-        subs: &[Expr],
-        mem: &mut Memory,
-    ) -> Result<usize, InterpError> {
-        let mut idx = Vec::with_capacity(subs.len());
-        for s in subs {
-            idx.push(self.eval(s, mem)?.as_int()?);
-        }
-        let info = self.program.vars.info(array);
-        let shape = info.shape().expect("array ref to scalar");
-        if !shape.contains(&idx) {
-            return Err(InterpError::OutOfBounds {
-                array: info.name.clone(),
-                index: idx,
-            });
-        }
-        Ok(shape.linearize(&idx))
-    }
-
-    /// Evaluate an expression.
-    pub fn eval(&mut self, e: &Expr, mem: &mut Memory) -> Result<Value, InterpError> {
-        match e {
-            Expr::IntLit(v) => Ok(Value::Int(*v)),
-            Expr::RealLit(v) => Ok(Value::Real(*v)),
-            Expr::BoolLit(b) => Ok(Value::Bool(*b)),
-            Expr::Scalar(v) => Ok(mem.scalar(*v)),
-            Expr::Array(r) => {
-                let off = self.array_offset(r.array, &r.subs, mem)?;
-                Ok(mem.array(r.array).get(off))
-            }
-            Expr::Unary(op, x) => {
-                let v = self.eval(x, mem)?;
-                self.stats.ops += 1;
-                match op {
-                    UnOp::Neg => Ok(match v {
-                        Value::Int(i) => Value::Int(-i),
-                        Value::Real(r) => Value::Real(-r),
-                        Value::Bool(_) => {
-                            return Err(InterpError::TypeError("negating LOGICAL".into()))
-                        }
-                    }),
-                    UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let va = self.eval(a, mem)?;
-                let vb = self.eval(b, mem)?;
-                self.stats.ops += 1;
-                self.binop(*op, va, vb)
-            }
-            Expr::Intrinsic(i, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a, mem)?);
-                }
-                self.stats.ops += 1;
-                self.intrinsic(*i, &vals)
-            }
-        }
-    }
-
-    fn binop(&self, op: BinOp, a: Value, b: Value) -> Result<Value, InterpError> {
-        eval_binop(op, a, b)
-    }
-
-    fn intrinsic(&self, i: Intrinsic, vals: &[Value]) -> Result<Value, InterpError> {
-        eval_intrinsic(i, vals)
-    }
 }
 
-/// Evaluate a binary operator on runtime values (shared by the sequential
-/// interpreter and the SPMD executor).
+/// Evaluate a binary operator on runtime values.
 pub fn eval_binop(op: BinOp, a: Value, b: Value) -> Result<Value, InterpError> {
     {
         use BinOp::*;
@@ -475,8 +506,7 @@ pub fn eval_binop(op: BinOp, a: Value, b: Value) -> Result<Value, InterpError> {
     }
 }
 
-/// Evaluate an intrinsic on runtime values (shared by the sequential
-/// interpreter and the SPMD executor).
+/// Evaluate an intrinsic on runtime values.
 pub fn eval_intrinsic(i: Intrinsic, vals: &[Value]) -> Result<Value, InterpError> {
     {
         match i {

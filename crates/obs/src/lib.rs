@@ -87,7 +87,7 @@ pub enum Body {
         /// transfer belongs to one.
         op: Option<usize>,
         /// Pattern classification ("shift", "broadcast", "reduce",
-        /// "element", ...), as tallied by `CommMetrics`.
+        /// "control", ...), as tallied by `CommMetrics`.
         pattern: String,
         /// Vectorization placement: the loop level the message was
         /// hoisted to (0 = outside all loops).

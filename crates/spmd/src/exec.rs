@@ -5,21 +5,23 @@
 //! This executor defines the *semantics* of a lowered program — every
 //! mapping configuration (including the deliberately bad ones used as
 //! baselines) must produce results identical to the sequential
-//! interpreter. Performance is modelled separately by [`crate::costsim`].
-//! [`ExecStats`] still counts exact per-element fetches (an upper bound,
-//! useful for invariants); wire-level traffic — where the per-element
-//! fetches of a hoisted communication operation coalesce into one
-//! vectorized [`Event::SendVec`]/[`Event::RecvVec`] message — is recorded
-//! in [`CommMetrics`], directly comparable to the cost model's message
-//! predictions (checked by [`crate::crosscheck`]).
+//! interpreter, whose evaluator it runs: each processor's statements go
+//! through [`hpf_ir::interp::assign`] over an operand source that fetches
+//! every non-local read from its owner. Performance is modelled separately
+//! by [`crate::costsim`]. [`ExecStats`] still counts exact per-element
+//! fetches (an upper bound, useful for invariants); wire-level traffic —
+//! where the per-element fetches of a hoisted communication operation
+//! coalesce into one vectorized [`Event::SendVec`]/[`Event::RecvVec`]
+//! message — is recorded in [`CommMetrics`], directly comparable to the
+//! cost model's message predictions (checked by [`crate::crosscheck`]).
 
 use crate::guard::{resolve_owner_pid, Guard};
-use crate::lower::{CommData, SpmdProgram};
+use crate::lower::{CommData, ReduceOp, SpmdProgram};
 use crate::metrics::CommMetrics;
 use hpf_analysis::RedOp;
 use hpf_dist::{dist_owner, GridCoord, GridDimRule, OwnerSet, ProcGrid};
-use hpf_ir::interp::{eval_binop, eval_intrinsic, ArrayStore, InterpError, Memory};
-use hpf_ir::{ArrayRef, Expr, Label, LValue, Stmt, StmtId, Value, VarId};
+use hpf_ir::interp::{self, eval_binop, eval_intrinsic, ArrayStore, InterpError, Memory, Operands};
+use hpf_ir::{ArrayRef, BinOp, Expr, Intrinsic, Label, Stmt, StmtId, Value, VarId};
 use hpf_obs::{Body, BufTracer, CommKind};
 use phpf_core::ScalarMapping;
 use std::collections::{HashMap, HashSet};
@@ -32,14 +34,94 @@ pub enum Slot {
     Elem(VarId, usize),
 }
 
+/// What one per-element message is booked under. The executor tags the
+/// `Send`, `Recv` and `RecvPartial` events it records, and the replay books
+/// each event under its tag, so both record the same [`CommMetrics`] and
+/// comm timelines. Two words wide, so `Event` stays the size of its
+/// `SendVec` variant: traces hold one event per message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tag {
+    /// A fetch served by placed communication operation `i` (an index into
+    /// `SpmdProgram::comms`).
+    Op(usize),
+    /// Data read while evaluating an IF predicate or DO bounds globally, at
+    /// loop depth `d`.
+    Control(usize),
+    /// A fetch no placed operation covers, at loop depth `d`.
+    Untracked(usize),
+    /// A reduction partial travelling member → leader after the loop at
+    /// depth `d`.
+    Reduce(usize),
+    /// A folded reduction result travelling leader → member.
+    Broadcast(usize),
+}
+
+impl Tag {
+    /// The placed operation, if any.
+    pub fn op(self) -> Option<usize> {
+        match self {
+            Tag::Op(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// Timeline kinds of the send and the receive side.
+    pub fn kinds(self) -> (CommKind, CommKind) {
+        match self {
+            Tag::Reduce(_) => (CommKind::Reduce, CommKind::Reduce),
+            Tag::Broadcast(_) => (CommKind::Broadcast, CommKind::Broadcast),
+            _ => (CommKind::Send, CommKind::Recv),
+        }
+    }
+
+    /// The pattern key, the placement level and the reading statement's
+    /// level.
+    pub fn booking(self, sp: &SpmdProgram) -> (&'static str, usize, usize) {
+        match self {
+            Tag::Op(i) => {
+                let c = &sp.comms[i];
+                (c.pattern.name(), c.level, c.stmt_level)
+            }
+            Tag::Control(d) => (crate::metrics::CONTROL, d, d),
+            Tag::Untracked(d) => (crate::metrics::UNTRACKED, d, d),
+            Tag::Reduce(d) | Tag::Broadcast(d) => (crate::metrics::REDUCE, d, d),
+        }
+    }
+}
+
+/// The comm timeline entry of one message of kind `kind` booked under
+/// `tag` (sends carry the link's wire sequence number when known).
+pub(crate) fn comm_body(
+    sp: &SpmdProgram,
+    kind: CommKind,
+    (from, to): (usize, usize),
+    tag: Tag,
+    elems: u64,
+    seq: Option<u64>,
+) -> Body {
+    let (pattern, level, stmt_level) = tag.booking(sp);
+    Body::Comm {
+        kind,
+        from,
+        to,
+        op: tag.op(),
+        pattern: pattern.to_string(),
+        level,
+        stmt_level,
+        place: hpf_comm::placement_tag(level, stmt_level),
+        elems,
+        seq,
+    }
+}
+
 /// One event of a recorded execution trace (consumed by
 /// [`crate::runtime`]'s threaded replay).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// Send the local value of `slot` to processor `to`.
-    Send { to: usize, slot: Slot },
+    Send { to: usize, slot: Slot, tag: Tag },
     /// Receive a value from processor `from` into `slot`.
-    Recv { from: usize, slot: Slot },
+    Recv { from: usize, slot: Slot, tag: Tag },
     /// Send the local values of `slots` to `to` as one coalesced message
     /// (the vectorized form of the hoisted communication operation `op`,
     /// an index into `SpmdProgram::comms`).
@@ -67,7 +149,7 @@ pub enum Event {
     },
     /// Receive a reduction partial (acc, then loc if present) onto the
     /// value stack.
-    RecvPartial { from: usize, has_loc: bool },
+    RecvPartial { from: usize, has_loc: bool, tag: Tag },
     /// Fold `count` stacked partials into the local accumulator.
     Combine {
         op: RedOp,
@@ -212,31 +294,17 @@ impl<'s> SpmdExec<'s> {
 
     /// Record one wire message on both endpoint timelines; returns the
     /// (send, recv) event indices for in-place growth of coalesced groups.
-    #[allow(clippy::too_many_arguments)]
     fn obs_message(
         &mut self,
         (send_kind, recv_kind): (CommKind, CommKind),
         (src, dst): (usize, usize),
-        op: Option<usize>,
-        pattern: &str,
-        (level, stmt_level): (usize, usize),
+        tag: Tag,
         elems: u64,
     ) -> (Option<usize>, Option<usize>) {
         let Some(obs) = &mut self.obs else {
             return (None, None);
         };
-        let mk = |kind: CommKind| Body::Comm {
-            kind,
-            from: src,
-            to: dst,
-            op,
-            pattern: pattern.to_string(),
-            level,
-            stmt_level,
-            place: hpf_comm::placement_tag(level, stmt_level),
-            elems,
-            seq: None,
-        };
+        let mk = |kind| comm_body(self.sp, kind, (src, dst), tag, elems, None);
         let s = obs[src].push(mk(send_kind));
         let r = obs[dst].push(mk(recv_kind));
         (Some(s), Some(r))
@@ -309,16 +377,10 @@ impl<'s> SpmdExec<'s> {
                     }
                     None => (None, None),
                 };
-                let (lvl, slvl) = {
-                    let c = &self.sp.comms[i];
-                    (c.level, c.stmt_level)
-                };
                 let (obs_send, obs_recv) = self.obs_message(
                     (CommKind::SendVec, CommKind::RecvVec),
                     (src, dst),
-                    Some(i),
-                    pattern,
-                    (lvl, slvl),
+                    Tag::Op(i),
                     0,
                 );
                 self.open.insert(
@@ -359,33 +421,23 @@ impl<'s> SpmdExec<'s> {
                 self.metrics.note_payload(pattern, i, src, dst, bytes);
             }
         } else {
-            let pattern = match op {
-                Some(i) => self.sp.comms[i].pattern.name(),
-                None if self.ctrl_eval => crate::metrics::CONTROL,
-                None => {
-                    if std::env::var_os("PHPF_DEBUG_UNTRACKED").is_some() {
-                        eprintln!(
-                            "untracked fetch at stmt {:?} slot {:?} {}->{}",
-                            self.cur_stmt, slot, src, dst
-                        );
-                    }
-                    crate::metrics::UNTRACKED
-                }
+            let tag = match op {
+                Some(i) => Tag::Op(i),
+                None if self.ctrl_eval => Tag::Control(self.loop_env.len()),
+                None => Tag::Untracked(self.loop_env.len()),
             };
-            self.metrics.note_message(pattern, op, src, dst, bytes);
-            let (lvl, slvl) = match op {
-                Some(i) => {
-                    let c = &self.sp.comms[i];
-                    (c.level, c.stmt_level)
-                }
-                None => (self.loop_env.len(), self.loop_env.len()),
-            };
-            self.obs_message((CommKind::Send, CommKind::Recv), (src, dst), op, pattern, (lvl, slvl), 1);
-            if self.trace.is_some() {
-                self.record(src, Event::Send { to: dst, slot });
-                self.record(dst, Event::Recv { from: src, slot });
-            }
+            self.send_elem(tag, src, dst, slot, bytes);
+            self.record(dst, Event::Recv { from: src, slot, tag });
         }
+    }
+
+    /// Book one per-element message: the metrics, both endpoint timelines
+    /// and the sender's `Send` event. The caller records the receive side.
+    fn send_elem(&mut self, tag: Tag, src: usize, dst: usize, slot: Slot, bytes: u64) {
+        let (pattern, ..) = tag.booking(self.sp);
+        self.metrics.note_message(pattern, tag.op(), src, dst, bytes);
+        self.obs_message(tag.kinds(), (src, dst), tag, 1);
+        self.record(src, Event::Send { to: dst, slot, tag });
     }
 
     /// Close every coalescing group whose placement loop (at `depth` or
@@ -401,9 +453,9 @@ impl<'s> SpmdExec<'s> {
 
     /// Run to completion.
     pub fn run(&mut self) -> Result<ExecStats, InterpError> {
-        let body = self.sp.program.body.clone();
+        let sp = self.sp;
         self.maybe_cut();
-        let flow = self.exec_block(&body)?;
+        let flow = self.exec_block(&sp.program.body)?;
         // Execution is over, so every still-open coalescing group is done
         // growing; close them all so the final cut (which must cover the
         // whole trace) is never vetoed.
@@ -415,11 +467,23 @@ impl<'s> SpmdExec<'s> {
         }
     }
 
-    fn p(&self) -> &hpf_ir::Program {
+    fn p(&self) -> &'s hpf_ir::Program {
         &self.sp.program
     }
 
-    fn exec_block(&mut self, block: &[StmtId]) -> Result<Flow, InterpError> {
+    /// Processor `q`'s operand source, reading the scalars in `locals`
+    /// from q's own memory.
+    fn on<'e>(&'e mut self, q: usize, locals: &'e [VarId]) -> OnProc<'e, 's> {
+        OnProc { ex: self, q, locals }
+    }
+
+    /// Evaluate an expression for processor `q`.
+    fn eval(&mut self, e: &Expr, q: usize) -> Result<Value, InterpError> {
+        let p = self.p();
+        interp::eval(p, e, &mut self.on(q, &[]))
+    }
+
+    fn exec_block(&mut self, block: &'s [StmtId]) -> Result<Flow, InterpError> {
         let mut idx = 0;
         while idx < block.len() {
             if self.loop_env.is_empty() {
@@ -448,13 +512,13 @@ impl<'s> SpmdExec<'s> {
             return Err(InterpError::StepLimit);
         }
         self.cur_stmt = Some(s);
-        match self.p().stmt(s).clone() {
+        let sp = self.sp;
+        match sp.program.stmt(s) {
             Stmt::Assign { lhs, rhs } => {
                 let executors = self.guard_pids(s)?;
                 self.stats.stmt_execs += executors.len() as u64;
                 for q in executors {
-                    let val = self.eval(&rhs, q, &HashSet::new())?;
-                    self.store(q, &lhs, val)?;
+                    interp::assign(&sp.program, lhs, rhs, &mut self.on(q, &[]))?;
                     let env = self.loop_env.clone();
                     self.record(q, Event::Exec { stmt: s, env });
                 }
@@ -470,9 +534,9 @@ impl<'s> SpmdExec<'s> {
                 self.ctrl_eval = true;
                 let bounds = (|| -> Result<(i64, i64, i64), InterpError> {
                     Ok((
-                        self.eval(&lo, 0, &HashSet::new())?.as_int()?,
-                        self.eval(&hi, 0, &HashSet::new())?.as_int()?,
-                        self.eval(&step, 0, &HashSet::new())?.as_int()?,
+                        self.eval(lo, 0)?.as_int()?,
+                        self.eval(hi, 0)?.as_int()?,
+                        self.eval(step, 0)?.as_int()?,
                     ))
                 })();
                 self.ctrl_eval = false;
@@ -480,6 +544,7 @@ impl<'s> SpmdExec<'s> {
                 if st == 0 {
                     return Err(InterpError::DivisionByZero);
                 }
+                let var = *var;
                 let mut i = lo;
                 let mut out = Flow::Normal;
                 self.loop_env.push((var, lo));
@@ -497,7 +562,7 @@ impl<'s> SpmdExec<'s> {
                         m.set_scalar(var, Value::Int(i));
                     }
                     self.loop_env.last_mut().unwrap().1 = i;
-                    match self.exec_block(&body)? {
+                    match self.exec_block(body)? {
                         Flow::Normal => {}
                         Flow::Goto(l) => {
                             out = Flow::Goto(l);
@@ -521,21 +586,20 @@ impl<'s> SpmdExec<'s> {
             } => {
                 // A maxloc reduction IF executes with per-processor partial
                 // state (diverging branches); everything else is uniform.
-                if let ScalarMapping::Reduction { .. } = self.sp.decisions.scalar(s) {
-                    return self.exec_reduction_if(s, &cond, &then_body);
+                if let ScalarMapping::Reduction { .. } = sp.decisions.scalar(s) {
+                    return self.exec_reduction_if(s, cond, then_body);
                 }
                 self.ctrl_eval = true;
-                let c = self.eval(&cond, 0, &HashSet::new());
+                let c = self.eval(cond, 0);
                 self.ctrl_eval = false;
                 let c = c?.as_bool()?;
-                let b = if c { then_body } else { else_body };
-                self.exec_block(&b)
+                self.exec_block(if c { then_body } else { else_body })
             }
             Stmt::Goto(l) => {
                 // A jump may re-enter earlier code without a loop-iteration
                 // boundary; conservatively close every coalescing group.
                 self.open.clear();
-                Ok(Flow::Goto(l))
+                Ok(Flow::Goto(*l))
             }
             Stmt::Continue => Ok(Flow::Normal),
         }
@@ -549,34 +613,31 @@ impl<'s> SpmdExec<'s> {
         cond: &Expr,
         then_body: &[StmtId],
     ) -> Result<Flow, InterpError> {
+        let sp = self.sp;
+        let p = &sp.program;
         let executors = self.guard_pids(s)?;
         // Local variables: the accumulator and location variable.
-        let mut locals = HashSet::new();
+        let mut locals = Vec::new();
         if let ScalarMapping::Reduction {
             loc_var: Some(lv), ..
-        } = self.sp.decisions.scalar(s)
+        } = sp.decisions.scalar(s)
         {
-            locals.insert(*lv);
+            locals.push(*lv);
         }
-        for &t in then_body {
-            if let Some(v) = self.p().stmt(t).written_var() {
-                locals.insert(v);
-            }
-        }
+        locals.extend(then_body.iter().filter_map(|&t| p.stmt(t).written_var()));
         for q in executors {
             let env = self.loop_env.clone();
             self.cur_stmt = Some(s);
-            let c = self.eval(cond, q, &locals)?.as_bool()?;
+            let c = interp::eval(p, cond, &mut self.on(q, &locals))?.as_bool()?;
             self.record(q, Event::CondExec { stmt: s, env });
             if !c {
                 continue;
             }
             self.stats.stmt_execs += 1;
             for &t in then_body {
-                if let Stmt::Assign { lhs, rhs } = self.p().stmt(t).clone() {
+                if let Stmt::Assign { lhs, rhs } = p.stmt(t) {
                     self.cur_stmt = Some(t);
-                    let val = self.eval(&rhs, q, &locals)?;
-                    self.store(q, &lhs, val)?;
+                    interp::assign(p, lhs, rhs, &mut self.on(q, &locals))?;
                 }
             }
         }
@@ -584,14 +645,13 @@ impl<'s> SpmdExec<'s> {
     }
 
     fn run_reduces(&mut self, l: StmtId) -> Result<(), InterpError> {
-        let ops: Vec<_> = self.sp.reduces_of(l).into_iter().cloned().collect();
-        for op in ops {
+        let sp = self.sp;
+        for op in sp.reduces.iter().filter(|r| r.loop_id == l) {
             if op.reduce_dims.is_empty() {
                 continue; // already complete on the single owner
             }
             // Group pids by coordinates outside the reduce dims.
-            let mut groups: std::collections::HashMap<Vec<usize>, Vec<usize>> =
-                std::collections::HashMap::new();
+            let mut groups: HashMap<Vec<usize>, Vec<usize>> = HashMap::new();
             for pid in self.grid.pids() {
                 let mut key = self.grid.coords_of(pid);
                 for &g in &op.reduce_dims {
@@ -599,120 +659,68 @@ impl<'s> SpmdExec<'s> {
                 }
                 groups.entry(key).or_default().push(pid);
             }
-            for (_, pids) in groups {
-                // Wire traffic of the combine: members stream partials to
-                // the leader, which folds and broadcasts the result back.
-                {
-                    let leader = pids[0];
-                    let acc_bytes = self.p().vars.info(op.acc).ty.byte_size() as u64;
-                    let loc_bytes = op.loc.map(|lv| self.p().vars.info(lv).ty.byte_size() as u64);
-                    for &q in &pids[1..] {
-                        for (a, b) in [(q, leader), (leader, q)] {
-                            self.metrics
-                                .note_message(crate::metrics::REDUCE, None, a, b, acc_bytes);
-                            if let Some(lb) = loc_bytes {
-                                self.metrics
-                                    .note_message(crate::metrics::REDUCE, None, a, b, lb);
-                            }
-                        }
-                    }
-                }
-                if self.obs.is_some() {
-                    // One obs event pair per wire message: members stream
-                    // partials (acc, then loc) to the leader, the leader
-                    // broadcasts the folded result back.
-                    let leader = pids[0];
-                    let lvl = self.loop_env.len();
-                    let n_msgs = 1 + usize::from(op.loc.is_some());
-                    for &q in &pids[1..] {
-                        for _ in 0..n_msgs {
-                            self.obs_message(
-                                (CommKind::Reduce, CommKind::Reduce),
-                                (q, leader),
-                                None,
-                                crate::metrics::REDUCE,
-                                (lvl, lvl),
-                                1,
-                            );
-                        }
-                        for _ in 0..n_msgs {
-                            self.obs_message(
-                                (CommKind::Broadcast, CommKind::Broadcast),
-                                (leader, q),
-                                None,
-                                crate::metrics::REDUCE,
-                                (lvl, lvl),
-                                1,
-                            );
-                        }
-                    }
-                }
-                if self.trace.is_some() {
-                    let leader = pids[0];
-                    for &q in &pids[1..] {
-                        self.record(q, Event::Send { to: leader, slot: Slot::Scalar(op.acc) });
-                        if let Some(lv) = op.loc {
-                            self.record(q, Event::Send { to: leader, slot: Slot::Scalar(lv) });
-                        }
-                        self.record(leader, Event::RecvPartial { from: q, has_loc: op.loc.is_some() });
-                    }
-                    self.record(leader, Event::Combine {
-                        op: op.op,
-                        acc: op.acc,
-                        loc: op.loc,
-                        count: pids.len() - 1,
-                    });
-                    for &q in &pids[1..] {
-                        self.record(leader, Event::Send { to: q, slot: Slot::Scalar(op.acc) });
-                        self.record(q, Event::Recv { from: leader, slot: Slot::Scalar(op.acc) });
-                        if let Some(lv) = op.loc {
-                            self.record(leader, Event::Send { to: q, slot: Slot::Scalar(lv) });
-                            self.record(q, Event::Recv { from: leader, slot: Slot::Scalar(lv) });
-                        }
-                    }
-                }
-                let mut best_acc = self.mems[pids[0]].scalar(op.acc);
-                let mut best_loc = op.loc.map(|lv| self.mems[pids[0]].scalar(lv));
-                for &q in &pids[1..] {
-                    let v = self.mems[q].scalar(op.acc);
-                    match op.op {
-                        RedOp::Sum => best_acc = eval_binop(hpf_ir::BinOp::Add, best_acc, v)?,
-                        RedOp::Prod => best_acc = eval_binop(hpf_ir::BinOp::Mul, best_acc, v)?,
-                        RedOp::Max => {
-                            best_acc =
-                                eval_intrinsic(hpf_ir::Intrinsic::Max, &[best_acc, v])?
-                        }
-                        RedOp::Min => {
-                            best_acc =
-                                eval_intrinsic(hpf_ir::Intrinsic::Min, &[best_acc, v])?
-                        }
-                        RedOp::MaxLoc => {
-                            let gt = eval_binop(hpf_ir::BinOp::Gt, v, best_acc)?.as_bool()?;
-                            if gt {
-                                best_acc = v;
-                                best_loc = op.loc.map(|lv| self.mems[q].scalar(lv));
-                            }
-                        }
-                    }
-                }
-                for &q in &pids {
-                    self.mems[q].set_scalar(op.acc, best_acc);
-                    if let (Some(lv), Some(bl)) = (op.loc, best_loc) {
-                        self.mems[q].set_scalar(lv, bl);
-                    }
-                    self.stats.combines += 1;
-                }
+            for pids in groups.values() {
+                self.combine_group(op, pids)?;
             }
+        }
+        Ok(())
+    }
+
+    /// One reduction combine over `pids`: the members stream their
+    /// partials (acc, then loc) to the leader `pids[0]`, which folds them
+    /// and broadcasts the result back.
+    fn combine_group(&mut self, op: &ReduceOp, pids: &[usize]) -> Result<(), InterpError> {
+        let p = self.p();
+        let (leader, members) = (pids[0], &pids[1..]);
+        let depth = self.loop_env.len();
+        let vars: Vec<VarId> = std::iter::once(op.acc).chain(op.loc).collect();
+        let bytes = |v: VarId| p.vars.info(v).ty.byte_size() as u64;
+        for &q in members {
+            for &v in &vars {
+                self.send_elem(Tag::Reduce(depth), q, leader, Slot::Scalar(v), bytes(v));
+            }
+            let has_loc = op.loc.is_some();
+            let tag = Tag::Reduce(depth);
+            self.record(leader, Event::RecvPartial { from: q, has_loc, tag });
+        }
+        self.record(
+            leader,
+            Event::Combine {
+                op: op.op,
+                acc: op.acc,
+                loc: op.loc,
+                count: members.len(),
+            },
+        );
+        for &q in members {
+            for &v in &vars {
+                let (slot, tag) = (Slot::Scalar(v), Tag::Broadcast(depth));
+                self.send_elem(tag, leader, q, slot, bytes(v));
+                self.record(q, Event::Recv { from: leader, slot, tag });
+            }
+        }
+        let partial = |m: &Memory| (m.scalar(op.acc), op.loc.map(|lv| m.scalar(lv)));
+        let mut best = partial(&self.mems[leader]);
+        for &q in members {
+            fold_partial(op.op, &mut best, partial(&self.mems[q]))?;
+        }
+        for &q in pids {
+            self.mems[q].set_scalar(op.acc, best.0);
+            if let (Some(lv), Some(bl)) = (op.loc, best.1) {
+                self.mems[q].set_scalar(lv, bl);
+            }
+            self.stats.combines += 1;
         }
         Ok(())
     }
 
     /// The pids executing statement `s` under its guard.
     fn guard_pids(&mut self, s: StmtId) -> Result<Vec<usize>, InterpError> {
-        match self.sp.guard(s).clone() {
+        let sp = self.sp;
+        match sp.guard(s) {
             Guard::Everyone | Guard::Union => Ok(self.grid.pids().collect()),
             Guard::OwnerOf { r, free_dims } => {
-                let own = self.eval_owner(&r, &free_dims, 0)?;
+                let own = self.eval_owner(r, free_dims, 0)?;
                 Ok(own.pids(&self.grid))
             }
         }
@@ -726,7 +734,7 @@ impl<'s> SpmdExec<'s> {
         free_dims: &[usize],
         reader: usize,
     ) -> Result<OwnerSet, InterpError> {
-        let rules = self.sp.maps.of(r.array).rules.clone();
+        let rules = &self.sp.maps.of(r.array).rules;
         let mut per_dim = Vec::with_capacity(rules.len());
         for (g, rule) in rules.iter().enumerate() {
             if free_dims.contains(&g) {
@@ -742,9 +750,7 @@ impl<'s> SpmdExec<'s> {
                     t_lo,
                     t_extent,
                 } => {
-                    let sub = self
-                        .eval(&r.subs[*array_dim].clone(), reader, &HashSet::new())?
-                        .as_int()?;
+                    let sub = self.eval(&r.subs[*array_dim], reader)?.as_int()?;
                     let pos0 = stride * sub + offset - t_lo;
                     if pos0 < 0 || pos0 >= *t_extent {
                         return Err(InterpError::OutOfBounds {
@@ -761,143 +767,51 @@ impl<'s> SpmdExec<'s> {
         Ok(OwnerSet { per_dim })
     }
 
-    /// Evaluate an expression for processor `q`. Scalars in `locals` (or
-    /// mapped replicated/private) read q's own copy; aligned scalars and
-    /// distributed array elements are fetched from their owners.
-    fn eval(
+    /// Processor `q`'s read of element `off` (subscripts `idx`) of
+    /// `r.array`: fetched from its owner.
+    fn read_element(
         &mut self,
-        e: &Expr,
+        r: &ArrayRef,
+        idx: &[i64],
+        off: usize,
         q: usize,
-        locals: &HashSet<VarId>,
     ) -> Result<Value, InterpError> {
-        match e {
-            Expr::IntLit(v) => Ok(Value::Int(*v)),
-            Expr::RealLit(v) => Ok(Value::Real(*v)),
-            Expr::BoolLit(b) => Ok(Value::Bool(*b)),
-            Expr::Scalar(v) => self.read_scalar(*v, q, locals),
-            Expr::Array(r) => {
-                let mut idx = Vec::with_capacity(r.subs.len());
-                for sub in &r.subs {
-                    idx.push(self.eval(sub, q, locals)?.as_int()?);
-                }
-                let info = self.p().vars.info(r.array);
-                let elem_bytes = info.ty.byte_size() as u64;
-                let shape = info.shape().expect("array ref");
-                if !shape.contains(&idx) {
-                    return Err(InterpError::OutOfBounds {
-                        array: info.name.clone(),
-                        index: idx,
-                    });
-                }
-                let off = shape.linearize(&idx);
-                let own = self.sp.maps.of(r.array).owner_on(&self.grid, &idx);
-                let src = resolve_owner_pid(&self.grid, &own, q);
-                if src != q {
-                    let op = self
-                        .cur_stmt
-                        .and_then(|s| self.sp.comm_index(s, &CommData::Array(r.clone())));
-                    self.fetch(op, src, q, Slot::Elem(r.array, off), elem_bytes);
-                }
-                Ok(self.mems[src].array(r.array).get(off))
-            }
-            Expr::Unary(op, x) => {
-                let v = self.eval(x, q, locals)?;
-                match op {
-                    hpf_ir::UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Real(r) => Ok(Value::Real(-r)),
-                        Value::Bool(_) => {
-                            Err(InterpError::TypeError("negating LOGICAL".into()))
-                        }
-                    },
-                    hpf_ir::UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let va = self.eval(a, q, locals)?;
-                let vb = self.eval(b, q, locals)?;
-                eval_binop(*op, va, vb)
-            }
-            Expr::Intrinsic(i, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a, q, locals)?);
-                }
-                eval_intrinsic(*i, &vals)
-            }
+        let sp = self.sp;
+        let own = sp.maps.of(r.array).owner_on(&self.grid, idx);
+        let src = resolve_owner_pid(&self.grid, &own, q);
+        if src != q {
+            let bytes = sp.program.vars.info(r.array).ty.byte_size() as u64;
+            let op = self.cur_stmt.and_then(|s| sp.array_comm_index(s, r));
+            self.fetch(op, src, q, Slot::Elem(r.array, off), bytes);
         }
+        Ok(self.mems[src].array(r.array).get(off))
     }
 
-    fn read_scalar(
-        &mut self,
-        v: VarId,
-        q: usize,
-        locals: &HashSet<VarId>,
-    ) -> Result<Value, InterpError> {
-        if locals.contains(&v) {
-            return Ok(self.mems[q].scalar(v));
-        }
-        match self.sp.scalar_mapping(v).clone() {
+    /// Processor `q`'s read of scalar `v`: replicated and private scalars
+    /// read q's copy; aligned and reduction-mapped ones are fetched from
+    /// the owner of their target.
+    fn read_scalar(&mut self, v: VarId, q: usize) -> Result<Value, InterpError> {
+        let sp = self.sp;
+        let own = match sp.scalar_mapping(v) {
             ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => {
-                Ok(self.mems[q].scalar(v))
+                return Ok(self.mems[q].scalar(v))
             }
-            ScalarMapping::Aligned { target, .. } => {
-                let own = self.eval_owner(&target, &[], q)?;
-                let src = resolve_owner_pid(&self.grid, &own, q);
-                if src != q {
-                    let bytes = self.p().vars.info(v).ty.byte_size() as u64;
-                    let op = self
-                        .cur_stmt
-                        .and_then(|s| self.sp.comm_index(s, &CommData::Scalar(v)));
-                    self.fetch(op, src, q, Slot::Scalar(v), bytes);
-                }
-                Ok(self.mems[src].scalar(v))
-            }
+            ScalarMapping::Aligned { target, .. } => self.eval_owner(target, &[], q)?,
             ScalarMapping::Reduction {
                 target,
                 reduce_dims,
                 ..
-            } => {
-                let own = self.eval_owner(&target, &reduce_dims, q)?;
-                let src = resolve_owner_pid(&self.grid, &own, q);
-                if src != q {
-                    let bytes = self.p().vars.info(v).ty.byte_size() as u64;
-                    let op = self
-                        .cur_stmt
-                        .and_then(|s| self.sp.comm_index(s, &CommData::Scalar(v)));
-                    self.fetch(op, src, q, Slot::Scalar(v), bytes);
-                }
-                Ok(self.mems[src].scalar(v))
-            }
+            } => self.eval_owner(target, reduce_dims, q)?,
+        };
+        let src = resolve_owner_pid(&self.grid, &own, q);
+        if src != q {
+            let bytes = sp.program.vars.info(v).ty.byte_size() as u64;
+            let op = self
+                .cur_stmt
+                .and_then(|s| sp.comm_index(s, &CommData::Scalar(v)));
+            self.fetch(op, src, q, Slot::Scalar(v), bytes);
         }
-    }
-
-    fn store(&mut self, q: usize, lhs: &LValue, val: Value) -> Result<(), InterpError> {
-        match lhs {
-            LValue::Scalar(v) => {
-                let ty = self.p().vars.info(*v).ty;
-                let val = val.coerce(ty)?;
-                self.mems[q].set_scalar(*v, val);
-            }
-            LValue::Array(r) => {
-                let mut idx = Vec::with_capacity(r.subs.len());
-                for sub in &r.subs {
-                    idx.push(self.eval(sub, q, &HashSet::new())?.as_int()?);
-                }
-                let info = self.p().vars.info(r.array);
-                let ty = info.ty;
-                let shape = info.shape().expect("array lhs");
-                if !shape.contains(&idx) {
-                    return Err(InterpError::OutOfBounds {
-                        array: info.name.clone(),
-                        index: idx,
-                    });
-                }
-                let off = shape.linearize(&idx);
-                self.mems[q].array_mut(r.array).set(off, val.coerce(ty)?)?;
-            }
-        }
-        Ok(())
+        Ok(self.mems[src].scalar(v))
     }
 
     /// Gather the authoritative value of every element of an array
@@ -915,6 +829,58 @@ impl<'s> SpmdExec<'s> {
         }
         out
     }
+}
+
+/// Processor `q`'s operands for the shared evaluator: the scalars in
+/// `locals` read q's own copy; every other read resolves through
+/// [`SpmdExec::read_scalar`] / [`SpmdExec::read_element`], which fetch from
+/// the owner. Stores go to q's memory.
+struct OnProc<'e, 's> {
+    ex: &'e mut SpmdExec<'s>,
+    q: usize,
+    locals: &'e [VarId],
+}
+
+impl Operands for OnProc<'_, '_> {
+    fn scalar(&mut self, v: VarId) -> Result<Value, InterpError> {
+        if self.locals.contains(&v) {
+            return Ok(self.ex.mems[self.q].scalar(v));
+        }
+        self.ex.read_scalar(v, self.q)
+    }
+
+    fn element(&mut self, r: &ArrayRef, idx: &[i64], off: usize) -> Result<Value, InterpError> {
+        self.ex.read_element(r, idx, off, self.q)
+    }
+
+    fn dest(&mut self) -> &mut Memory {
+        &mut self.ex.mems[self.q]
+    }
+}
+
+/// Fold one reduction partial `(acc, loc)` into the running `best`: the
+/// combine rule of both the executor and the replay's `Combine` event.
+/// MAXLOC keeps the first strict maximum, so partials are folded in
+/// member order.
+pub(crate) fn fold_partial(
+    op: RedOp,
+    best: &mut (Value, Option<Value>),
+    (v, loc): (Value, Option<Value>),
+) -> Result<(), InterpError> {
+    best.0 = match op {
+        RedOp::Sum => eval_binop(BinOp::Add, best.0, v)?,
+        RedOp::Prod => eval_binop(BinOp::Mul, best.0, v)?,
+        RedOp::Max => eval_intrinsic(Intrinsic::Max, &[best.0, v])?,
+        RedOp::Min => eval_intrinsic(Intrinsic::Min, &[best.0, v])?,
+        RedOp::MaxLoc => {
+            if !eval_binop(BinOp::Gt, v, best.0)?.as_bool()? {
+                return Ok(());
+            }
+            best.1 = loc;
+            v
+        }
+    };
+    Ok(())
 }
 
 /// Run a lowered program and check its results element-by-element against

@@ -12,13 +12,19 @@
 //!   in-process channel backend; the socket backend runs the same
 //!   per-rank engine in separate OS processes) that replays the compiled
 //!   communication schedule and revalidates it;
+//!
+//! The executor and the runtime evaluate statements with the sequential
+//! interpreter's evaluator ([`hpf_ir::interp::eval`] /
+//! [`hpf_ir::interp::assign`]): the executor through an owner-resolving
+//! operand source, the runtime on each rank's local memory.
+//!
 //! * [`costsim`] — the analytic SP2 performance model that regenerates
 //!   the paper's tables;
 //! * [`combine`] — global message combining across loop nests (the
 //!   optimization the paper reports phpf lacked);
 //! * [`metrics`] — wire-level communication observability (per-processor,
-//!   per-pattern and per-operation message/byte counters) recorded by
-//!   both the executor and the threaded runtime;
+//!   per-pattern and per-operation message/byte counters), identical
+//!   whether recorded by the executor or by the replay runtime;
 //! * [`crosscheck`] — validation that observed wire messages agree with
 //!   the cost model's predictions.
 
@@ -36,7 +42,7 @@ pub use costsim::{estimate, CostReport};
 pub use crosscheck::{cross_check, CrossCheck, OpCheck};
 pub use exec::{validate_against_sequential, ExecStats, SpmdExec};
 pub use guard::Guard;
-pub use exec::{Event, Slot, Trace};
+pub use exec::{Event, Slot, Tag, Trace};
 pub use lower::{lower, CommData, CommOp, ReduceOp, Schedule, ScheduleOp, SpmdProgram};
 pub use metrics::{CommMetrics, RecoveryCounters};
 pub use runtime::{

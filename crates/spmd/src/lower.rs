@@ -163,10 +163,6 @@ impl SpmdProgram {
         self.var_mapping.get(&v).unwrap_or(&ScalarMapping::Replicated)
     }
 
-    pub fn reduces_of(&self, l: StmtId) -> Vec<&ReduceOp> {
-        self.reduces.iter().filter(|r| r.loop_id == l).collect()
-    }
-
     /// Total count of communication operations placed inside loops at
     /// their statement level (the expensive, non-vectorized kind).
     pub fn inner_loop_comms(&self) -> usize {
@@ -201,9 +197,18 @@ impl SpmdProgram {
     /// Index into `comms` of the operation satisfying a fetch of `data`
     /// issued by `stmt`, looking through `combine_messages` merges.
     pub fn comm_index(&self, stmt: StmtId, data: &CommData) -> Option<usize> {
+        self.comm_index_where(stmt, |d| d == data)
+    }
+
+    /// [`SpmdProgram::comm_index`] of a fetch through array reference `r`,
+    /// without building (cloning) a [`CommData`].
+    pub fn array_comm_index(&self, stmt: StmtId, r: &ArrayRef) -> Option<usize> {
+        self.comm_index_where(stmt, |d| matches!(d, CommData::Array(a) if a == r))
+    }
+
+    fn comm_index_where(&self, stmt: StmtId, is: impl Fn(&CommData) -> bool) -> Option<usize> {
         self.comms.iter().position(|c| {
-            (c.stmt == stmt && &c.data == data)
-                || c.merged.iter().any(|(s, d)| *s == stmt && d == data)
+            (c.stmt == stmt && is(&c.data)) || c.merged.iter().any(|(s, d)| *s == stmt && is(d))
         })
     }
 }

@@ -6,8 +6,12 @@
 //! [`Transport`]. The runtime *replays* the communication schedule
 //! recorded by the reference executor
 //! ([`crate::exec::SpmdExec::with_trace`]): each worker owns a private
-//! [`Memory`], evaluates its assignments purely locally, and obtains every
-//! remote operand through an actual message.
+//! [`Memory`], evaluates its assignments purely locally — with the
+//! sequential interpreter's evaluator ([`hpf_ir::interp::assign`]) over
+//! that memory — and obtains every remote operand through an actual
+//! message. Each message is booked under the [`crate::exec::Tag`] the
+//! executor recorded with it, so the replay's [`CommMetrics`] and comm
+//! timelines equal the executor's.
 //!
 //! The replay revalidates the schedule end-to-end — if the compiler had
 //! failed to move a value that a processor needs, the worker would compute
@@ -20,14 +24,13 @@
 //! multi-process driver in `hpf-compile::netrun` runs the same function in
 //! separate OS processes over socket links.
 
-use crate::exec::{Event, Slot, SpmdExec, Trace};
+use crate::exec::{comm_body, fold_partial, Event, Slot, SpmdExec, Tag, Trace};
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
-use hpf_analysis::RedOp;
-use hpf_ir::interp::{eval_binop, eval_intrinsic, InterpError, Memory};
-use hpf_ir::{Expr, LValue, Program, Stmt, Value, VarId};
+use hpf_ir::interp::{self, InterpError, Memory};
+use hpf_ir::{Program, Stmt, Value, VarId};
 use hpf_net::{channel_group, Transport, WireMsg};
-use hpf_obs::{Body, BufTracer, CommKind};
+use hpf_obs::{BufTracer, CommKind};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -260,40 +263,21 @@ struct RankWorker<'a, T: Transport> {
 }
 
 impl<'a, T: Transport> RankWorker<'a, T> {
-    /// Record one comm event on this rank's timeline. Sends carry the
-    /// link's wire sequence number (socket backend); receive-side numbers
-    /// would race the reader thread, so they stay `None`.
+    /// Record one comm event of kind `kind`, booked under `tag`, on this
+    /// rank's timeline. Sends carry the link's wire sequence number (socket
+    /// backend); receive-side numbers would race the reader thread, so they
+    /// stay `None`.
     fn obs_comm(
         &mut self,
         kind: CommKind,
         (from, to): (usize, usize),
-        op: Option<usize>,
-        pattern: &str,
+        tag: Tag,
         elems: u64,
         seq: Option<u64>,
     ) {
-        let Some(o) = self.obs.as_deref_mut() else {
-            return;
-        };
-        let (level, stmt_level) = match op {
-            Some(i) => {
-                let c = &self.sp.comms[i];
-                (c.level, c.stmt_level)
-            }
-            None => (0, 0),
-        };
-        o.push(Body::Comm {
-            kind,
-            from,
-            to,
-            op,
-            pattern: pattern.to_string(),
-            level,
-            stmt_level,
-            place: hpf_comm::placement_tag(level, stmt_level),
-            elems,
-            seq,
-        });
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.push(comm_body(self.sp, kind, (from, to), tag, elems, seq));
+        }
     }
     /// Send one wire message.
     fn send_msg(&mut self, to: usize, msg: &WireMsg) -> Result<(), String> {
@@ -324,23 +308,22 @@ impl<'a, T: Transport> RankWorker<'a, T> {
     fn step(&mut self, ev: &'a Event) -> Result<(), String> {
         self.stats.events += 1;
         match ev {
-            Event::Send { to, slot } => {
+            Event::Send { to, slot, tag } => {
                 let v = self.load(*slot);
                 let bytes = self.slot_bytes(*slot);
                 self.send_msg(*to, &WireMsg::One(v))
                     .map_err(|e| format!("element send to {}: {}", to, e))?;
-                // The trace does not attribute per-element sends to an
-                // operation; count them under the generic element pattern.
+                let (pattern, ..) = tag.booking(self.sp);
                 self.metrics
-                    .note_message(crate::metrics::ELEMENT, None, self.pid, *to, bytes);
+                    .note_message(pattern, tag.op(), self.pid, *to, bytes);
                 let seq = self.transport.link_seq(*to);
-                self.obs_comm(CommKind::Send, (self.pid, *to), None, crate::metrics::ELEMENT, 1, seq);
+                self.obs_comm(tag.kinds().0, (self.pid, *to), *tag, 1, seq);
             }
-            Event::Recv { from, slot } => {
+            Event::Recv { from, slot, tag } => {
                 let v = self
                     .recv_one(*from)
                     .map_err(|e| format!("element recv from {}: {}", from, e))?;
-                self.obs_comm(CommKind::Recv, (*from, self.pid), None, crate::metrics::ELEMENT, 1, None);
+                self.obs_comm(tag.kinds().1, (*from, self.pid), *tag, 1, None);
                 self.last_vec = None;
                 self.store_slot(*slot, v).map_err(|e| e.to_string())?;
             }
@@ -366,7 +349,8 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                 self.send_msg(*to, &WireMsg::Many(vals))
                     .map_err(|e| format!("section send (op {}) to {}: {}", op, to, e))?;
                 let seq = self.transport.link_seq(*to);
-                self.obs_comm(CommKind::SendVec, (self.pid, *to), Some(*op), pattern, slots.len() as u64, seq);
+                let n = slots.len() as u64;
+                self.obs_comm(CommKind::SendVec, (self.pid, *to), Tag::Op(*op), n, seq);
             }
             Event::RecvVec { from, op, slots } => {
                 let vals = match self
@@ -385,8 +369,8 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                         slots.len()
                     ));
                 }
-                let pattern = self.sp.comms[*op].pattern.name();
-                self.obs_comm(CommKind::RecvVec, (*from, self.pid), Some(*op), pattern, slots.len() as u64, None);
+                let n = slots.len() as u64;
+                self.obs_comm(CommKind::RecvVec, (*from, self.pid), Tag::Op(*op), n, None);
                 self.last_vec = None;
                 for (&s, &v) in slots.iter().zip(vals.iter()) {
                     self.store_slot(s, v).map_err(|e| e.to_string())?;
@@ -398,8 +382,7 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                 let Stmt::Assign { lhs, rhs } = self.program.stmt(*stmt) else {
                     return Err("Exec event on non-assignment".into());
                 };
-                let val = self.eval(rhs).map_err(|e| e.to_string())?;
-                self.assign(lhs, val).map_err(|e| e.to_string())?;
+                interp::assign(self.program, lhs, rhs, self.mem).map_err(|e| e.to_string())?;
             }
             Event::CondExec { stmt, env } => {
                 self.last_vec = None;
@@ -410,29 +393,28 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                 else {
                     return Err("CondExec event on non-IF".into());
                 };
-                let c = self
-                    .eval(cond)
+                let c = interp::eval(self.program, cond, self.mem)
                     .and_then(|v| v.as_bool())
                     .map_err(|e| e.to_string())?;
                 if c {
                     for &t in then_body {
                         if let Stmt::Assign { lhs, rhs } = self.program.stmt(t) {
-                            let val = self.eval(rhs).map_err(|e| e.to_string())?;
-                            self.assign(lhs, val).map_err(|e| e.to_string())?;
+                            interp::assign(self.program, lhs, rhs, self.mem)
+                                .map_err(|e| e.to_string())?;
                         }
                     }
                 }
             }
-            Event::RecvPartial { from, has_loc } => {
+            Event::RecvPartial { from, has_loc, tag } => {
                 let acc = self
                     .recv_one(*from)
                     .map_err(|e| format!("reduction partial from {}: {}", from, e))?;
-                self.obs_comm(CommKind::Reduce, (*from, self.pid), None, crate::metrics::REDUCE, 1, None);
+                self.obs_comm(tag.kinds().1, (*from, self.pid), *tag, 1, None);
                 let loc = if *has_loc {
                     let l = self
                         .recv_one(*from)
                         .map_err(|e| format!("reduction location from {}: {}", from, e))?;
-                    self.obs_comm(CommKind::Reduce, (*from, self.pid), None, crate::metrics::REDUCE, 1, None);
+                    self.obs_comm(tag.kinds().1, (*from, self.pid), *tag, 1, None);
                     Some(l)
                 } else {
                     None
@@ -446,43 +428,19 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                 count,
             } => {
                 self.last_vec = None;
-                let mut best = self.mem.scalar(*acc);
-                let mut best_loc = loc.map(|lv| self.mem.scalar(lv));
-                for _ in 0..*count {
-                    let (v, vl) = self
-                        .stack
-                        .pop()
-                        .ok_or_else(|| "combine stack underflow".to_string())?;
-                    match op {
-                        RedOp::Sum => {
-                            best = eval_binop(hpf_ir::BinOp::Add, best, v)
-                                .map_err(|e| e.to_string())?
-                        }
-                        RedOp::Prod => {
-                            best = eval_binop(hpf_ir::BinOp::Mul, best, v)
-                                .map_err(|e| e.to_string())?
-                        }
-                        RedOp::Max => {
-                            best = eval_intrinsic(hpf_ir::Intrinsic::Max, &[best, v])
-                                .map_err(|e| e.to_string())?
-                        }
-                        RedOp::Min => {
-                            best = eval_intrinsic(hpf_ir::Intrinsic::Min, &[best, v])
-                                .map_err(|e| e.to_string())?
-                        }
-                        RedOp::MaxLoc => {
-                            let gt = eval_binop(hpf_ir::BinOp::Gt, v, best)
-                                .and_then(|x| x.as_bool())
-                                .map_err(|e| e.to_string())?;
-                            if gt {
-                                best = v;
-                                best_loc = vl;
-                            }
-                        }
-                    }
+                // The batch's partials, folded in the order they arrived
+                // (member order, as the executor folds them).
+                let at = self
+                    .stack
+                    .len()
+                    .checked_sub(*count)
+                    .ok_or_else(|| "combine stack underflow".to_string())?;
+                let mut best = (self.mem.scalar(*acc), loc.map(|lv| self.mem.scalar(lv)));
+                for part in self.stack.drain(at..) {
+                    fold_partial(*op, &mut best, part).map_err(|e| e.to_string())?;
                 }
-                self.mem.set_scalar(*acc, best);
-                if let (Some(lv), Some(bl)) = (loc, best_loc) {
+                self.mem.set_scalar(*acc, best.0);
+                if let (Some(lv), Some(bl)) = (loc, best.1) {
                     self.mem.set_scalar(*lv, bl);
                 }
             }
@@ -511,83 +469,6 @@ impl<'a, T: Transport> RankWorker<'a, T> {
             }
             Slot::Elem(v, off) => {
                 self.mem.array_mut(v).set(off, val)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Purely local expression evaluation — by construction every remote
-    /// operand has already arrived via a Recv event.
-    fn eval(&self, e: &Expr) -> Result<Value, InterpError> {
-        match e {
-            Expr::IntLit(v) => Ok(Value::Int(*v)),
-            Expr::RealLit(v) => Ok(Value::Real(*v)),
-            Expr::BoolLit(b) => Ok(Value::Bool(*b)),
-            Expr::Scalar(v) => Ok(self.mem.scalar(*v)),
-            Expr::Array(r) => {
-                let mut idx = Vec::with_capacity(r.subs.len());
-                for s in &r.subs {
-                    idx.push(self.eval(s)?.as_int()?);
-                }
-                let info = self.program.vars.info(r.array);
-                let shape = info.shape().expect("array");
-                if !shape.contains(&idx) {
-                    return Err(InterpError::OutOfBounds {
-                        array: info.name.clone(),
-                        index: idx,
-                    });
-                }
-                Ok(self.mem.array(r.array).get(shape.linearize(&idx)))
-            }
-            Expr::Unary(op, x) => {
-                let v = self.eval(x)?;
-                match op {
-                    hpf_ir::UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Real(r) => Ok(Value::Real(-r)),
-                        Value::Bool(_) => {
-                            Err(InterpError::TypeError("negating LOGICAL".into()))
-                        }
-                    },
-                    hpf_ir::UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let va = self.eval(a)?;
-                let vb = self.eval(b)?;
-                eval_binop(*op, va, vb)
-            }
-            Expr::Intrinsic(i, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a)?);
-                }
-                eval_intrinsic(*i, &vals)
-            }
-        }
-    }
-
-    fn assign(&mut self, lhs: &LValue, val: Value) -> Result<(), InterpError> {
-        match lhs {
-            LValue::Scalar(v) => {
-                let ty = self.program.vars.info(*v).ty;
-                self.mem.set_scalar(*v, val.coerce(ty)?);
-            }
-            LValue::Array(r) => {
-                let mut idx = Vec::with_capacity(r.subs.len());
-                for s in &r.subs {
-                    idx.push(self.eval(s)?.as_int()?);
-                }
-                let info = self.program.vars.info(r.array);
-                let shape = info.shape().expect("array");
-                if !shape.contains(&idx) {
-                    return Err(InterpError::OutOfBounds {
-                        array: info.name.clone(),
-                        index: idx,
-                    });
-                }
-                let off = shape.linearize(&idx);
-                self.mem.array_mut(r.array).set(off, val.coerce(info.ty)?)?;
             }
         }
         Ok(())

@@ -79,7 +79,7 @@ pub fn simulate(trace: &Trace) -> Sim {
                             None => break 'rank,
                         }
                     }
-                    Event::RecvPartial { from, has_loc } => {
+                    Event::RecvPartial { from, has_loc, .. } => {
                         let need = 1 + *has_loc as usize;
                         let q = links.entry((*from, r)).or_default();
                         if q.len() < need {
@@ -292,7 +292,7 @@ fn check_epoch_matching(trace: &Trace, cuts: &[Vec<usize>], out: &mut Vec<Diagno
             match e {
                 Event::Send { to, .. } => tally.entry((ep, r, *to)).or_default()[0] += 1,
                 Event::Recv { from, .. } => tally.entry((ep, *from, r)).or_default()[1] += 1,
-                Event::RecvPartial { from, has_loc } => {
+                Event::RecvPartial { from, has_loc, .. } => {
                     tally.entry((ep, *from, r)).or_default()[1] += 1 + *has_loc as usize
                 }
                 Event::SendVec { to, .. } => tally.entry((ep, r, *to)).or_default()[2] += 1,
@@ -334,8 +334,8 @@ fn check_epoch_matching(trace: &Trace, cuts: &[Vec<usize>], out: &mut Vec<Diagno
 /// Render a replay event for a diagnostic note.
 pub fn event_text(p: &Program, e: &Event) -> String {
     match e {
-        Event::Send { to, slot } => format!("Send {} to rank {}", slot_text(p, slot), to),
-        Event::Recv { from, slot } => {
+        Event::Send { to, slot, .. } => format!("Send {} to rank {}", slot_text(p, slot), to),
+        Event::Recv { from, slot, .. } => {
             format!("Recv {} from rank {}", slot_text(p, slot), from)
         }
         Event::SendVec { to, op, slots } => format!(
@@ -356,7 +356,7 @@ pub fn event_text(p: &Program, e: &Event) -> String {
         Event::CondExec { stmt, .. } => {
             format!("CondExec stmt {} `{}`", stmt.0, crate::render::stmt_text(p, *stmt))
         }
-        Event::RecvPartial { from, has_loc } => format!(
+        Event::RecvPartial { from, has_loc, .. } => format!(
             "RecvPartial from rank {}{}",
             from,
             if *has_loc { " (with loc)" } else { "" }

@@ -359,7 +359,7 @@ fn check_union_operands(
         let local = symbolic_owner(p, &a.cfg, &a.dom, &a.induction, m, def, r)
             .map(|src| classify(&src, &everyone) == CommPattern::Local)
             .unwrap_or(false);
-        if !local && sp.comm_index(def, &CommData::Array(r.clone())).is_none() {
+        if !local && sp.array_comm_index(def, r).is_none() {
             out.push(
                 Diagnostic::error(
                     "V003",
@@ -519,7 +519,7 @@ fn require_operand_comms(
         let local = symbolic_owner(p, &a.cfg, &a.dom, &a.induction, m, s, r)
             .map(|src| classify(&src, dst) == CommPattern::Local)
             .unwrap_or(false);
-        if !local && sp.comm_index(s, &CommData::Array(r.clone())).is_none() {
+        if !local && sp.array_comm_index(s, r).is_none() {
             out.push(
                 Diagnostic::error(
                     "V004",

@@ -199,14 +199,15 @@ fn circular_wait_trips_s102() {
     // ranks receive first, so neither send is ever reached.
     let x = sp.program.vars.lookup("x").expect("x exists");
     let slot = hpf_spmd::Slot::Scalar(x);
+    let tag = hpf_spmd::Tag::Untracked(0);
     let mut corrupted: hpf_spmd::Trace = vec![Vec::new(); trace.len()];
     corrupted[0] = vec![
-        Event::Recv { from: 1, slot },
-        Event::Send { to: 1, slot },
+        Event::Recv { from: 1, slot, tag },
+        Event::Send { to: 1, slot, tag },
     ];
     corrupted[1] = vec![
-        Event::Recv { from: 0, slot },
-        Event::Send { to: 0, slot },
+        Event::Recv { from: 0, slot, tag },
+        Event::Send { to: 0, slot, tag },
     ];
     let report = hpf_verify::verify_schedule_trace(&sp, &corrupted, &cuts);
     assert!(report.has("S102"), "got: {:#?}", report.diags);

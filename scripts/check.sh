@@ -15,6 +15,10 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "==> cargo clippy -p hpf-verify -D warnings (verifier must stay lint-clean)"
 cargo clippy -p hpf-verify --all-targets -q -- -D warnings
 
+echo "==> perfbench builds and passes its self-tests against the workspace crates"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> static verification (phpfc --verify on the three paper kernels)"
 for example in tomcatv_small dgefa_small appsp_small; do
     set +e
@@ -51,6 +55,30 @@ echo "$out" | grep -q 'linearization of the static happens-before relation' || {
     echo "$out" >&2
     exit 1
 }
+
+echo "==> trace round trip (DGEFA small, thread and socket backends, --trace then --verify-trace)"
+# DGEFA's per-element control and reduction traffic must be booked by the
+# replay exactly as the reference executor books it, or the recorded trace
+# is not a linearization of the schedule.
+for backend in thread socket; do
+    rttrace=$(mktemp -t phpfc-dgefa.XXXXXX)
+    set +e
+    out=$(./target/release/phpfc examples/hpf/dgefa_small.hpf --backend "$backend" --trace "$rttrace" 2>&1 \
+        && ./target/release/phpfc examples/hpf/dgefa_small.hpf --verify-trace "$rttrace" 2>&1)
+    status=$?
+    set -e
+    rm -f "$rttrace"
+    if [ "$status" -ne 0 ]; then
+        echo "FAIL: DGEFA $backend trace did not pass --verify-trace" >&2
+        echo "$out" >&2
+        exit "$status"
+    fi
+    echo "$out" | grep -q 'linearization of the static happens-before relation' || {
+        echo "FAIL: DGEFA $backend --verify-trace printed no linearization verdict" >&2
+        echo "$out" >&2
+        exit 1
+    }
+done
 
 echo "==> bench binaries emit BENCH_JSON (with a backend name and verification verdict)"
 for bin in table1 table2 table3; do
@@ -220,4 +248,4 @@ if [ -z "$faulted_msgs" ] || [ "$faulted_msgs" != "$clean_msgs" ]; then
     exit 1
 fi
 
-echo "OK: build, tests, lints, verification, bench output, socket smoke, trace smoke and chaos smoke all clean"
+echo "OK: build, tests, lints, perfbench, verification, trace round trips, bench output, socket smoke, trace smoke and chaos smoke all clean"

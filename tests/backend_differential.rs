@@ -223,38 +223,39 @@ fn golden_trace_appsp_small() {
     golden_trace("APPSP", include_str!("../examples/hpf/appsp_small.hpf"));
 }
 
-/// Satellite check for the Arc-shared payload refactor: the vectorized
-/// threaded replay must record exactly the byte counts the reference
-/// executor records — sharing the payload buffer is invisible to the
-/// meters.
+/// The threaded replay books exactly what the reference executor books —
+/// per processor, per pattern and per operation, in both replay modes.
+/// Per-element `Send`/`Recv` events carry the executor's attribution, and
+/// sharing a vectorized payload buffer between destinations is invisible
+/// to the meters.
 #[test]
 fn arc_payloads_leave_recorded_bytes_unchanged() {
-    let job = NetJob::new(tomcatv::source(12, 4, 2))
-        .with_default_fills()
-        .unwrap();
-    let compiled = job.compile().unwrap();
-    let fills: Vec<(phpf::ir::VarId, Vec<f64>)> = job
-        .fills
-        .iter()
-        .map(|(n, d)| (compiled.spmd.program.vars.lookup(n).unwrap(), d.clone()))
-        .collect();
-    let init = move |m: &mut phpf::ir::Memory| {
-        for (v, data) in &fills {
-            m.fill_real(*v, data);
+    let kernels = [
+        ("TOMCATV", tomcatv::source(12, 4, 2)),
+        ("DGEFA", dgefa::source(12, 4)),
+        ("APPSP", appsp::source_1d(8, 4, 1)),
+    ];
+    for (name, source) in kernels {
+        for vectorize in [true, false] {
+            let job = NetJob::new(source.clone()).with_default_fills().unwrap();
+            let compiled = job.compile().unwrap();
+            let fills: Vec<(phpf::ir::VarId, Vec<f64>)> = job
+                .fills
+                .iter()
+                .map(|(n, d)| (compiled.spmd.program.vars.lookup(n).unwrap(), d.clone()))
+                .collect();
+            let init = move |m: &mut phpf::ir::Memory| {
+                for (v, data) in &fills {
+                    m.fill_real(*v, data);
+                }
+            };
+            let mut exec = phpf::spmd::SpmdExec::new(&compiled.spmd, &init).with_trace();
+            if !vectorize {
+                exec = exec.without_vectorization();
+            }
+            exec.run().unwrap();
+            let replayed = validate_replay_opts(&compiled.spmd, &init, vectorize).unwrap();
+            assert_traffic_identical(name, vectorize, &exec.metrics, &replayed.metrics);
         }
-    };
-    let mut exec = phpf::spmd::SpmdExec::new(&compiled.spmd, &init).with_trace();
-    exec.run().unwrap();
-    let replayed = validate_replay_opts(&compiled.spmd, &init, true).unwrap();
-    let total = |m: &CommMetrics| {
-        m.per_proc
-            .iter()
-            .map(|p| (p.sent_messages, p.sent_bytes))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(
-        total(&exec.metrics),
-        total(&replayed.metrics),
-        "replay meters must match the reference executor byte-for-byte"
-    );
+    }
 }

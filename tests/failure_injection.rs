@@ -6,7 +6,8 @@ use phpf::analysis::Analysis;
 use phpf::compile::{compile_source, Options, Version};
 use phpf::core::{Decisions, ScalarMapping};
 use phpf::dist::MappingTable;
-use phpf::ir::{parse_program, ArrayRef, Expr};
+use phpf::ir::interp::InterpError;
+use phpf::ir::{parse_program, ArrayRef, Expr, Interp, Memory};
 use phpf::spmd::exec::Event;
 use phpf::spmd::{lower, validate_against_sequential, SpmdExec};
 
@@ -154,24 +155,54 @@ fn misrouted_message_is_caught() {
     }
 }
 
-/// Executor robustness: out-of-bounds subscripts surface as errors, not
-/// silent corruption or panics.
+/// Runtime errors surface identically from the sequential interpreter and
+/// the SPMD executor: the same `InterpError` variant naming the same array,
+/// never a panic. The executor runs on its own here, so its error paths —
+/// not the interpreter's, which fails first inside
+/// `validate_against_sequential` — are the ones exercised.
 #[test]
-fn out_of_bounds_reported() {
-    let src = r#"
+fn runtime_errors_agree_with_interp() {
+    let cases = [
+        ("out-of-bounds read", "B(i) = A(i+1)", Some("a")),
+        ("out-of-bounds write", "A(i+1) = 1.0", Some("a")),
+        ("integer division by zero", "K(i) = i / j", None),
+        ("MOD by zero", "K(i) = MOD(i, j)", None),
+    ];
+    fn named(e: &InterpError) -> Option<&str> {
+        match e {
+            InterpError::OutOfBounds { array, .. } => Some(array),
+            _ => None,
+        }
+    }
+    for (case, stmt, array) in cases {
+        let src = format!(
+            r#"
 !HPF$ PROCESSORS P(4)
-!HPF$ DISTRIBUTE (BLOCK) :: A
-REAL A(8)
-INTEGER i
-DO i = 1, 9
-  A(i) = 1.0
+!HPF$ DISTRIBUTE (BLOCK) :: A, B, K
+REAL A(8), B(8)
+INTEGER K(8)
+INTEGER i, j
+j = 0
+DO i = 1, 8
+  {stmt}
 END DO
-"#;
-    let c = compile_source(src, Options::new(Version::SelectedAlignment)).unwrap();
-    let res = validate_against_sequential(&c.spmd, |_| {});
-    assert!(res.is_err());
-    let msg = res.unwrap_err();
-    assert!(msg.contains("out of bounds"), "{}", msg);
+"#
+        );
+        let c = compile_source(&src, Options::new(Version::SelectedAlignment)).unwrap();
+        let mut mem = Memory::zeroed(&c.spmd.program);
+        let want = Interp::new(&c.spmd.program).run(&mut mem).unwrap_err();
+        let got = SpmdExec::new(&c.spmd, |_| {}).run().unwrap_err();
+        assert_eq!(
+            std::mem::discriminant(&want),
+            std::mem::discriminant(&got),
+            "{case}: interpreter says {want:?}, executor says {got:?}"
+        );
+        assert_eq!(named(&want), named(&got), "{case}: {want:?} vs {got:?}");
+        assert_eq!(named(&got), array, "{case}: {got:?}");
+        if array.is_none() {
+            assert_eq!(got, InterpError::DivisionByZero, "{case}");
+        }
+    }
 }
 
 /// Parser robustness: malformed inputs return errors (never panic).
@@ -211,5 +242,5 @@ GOTO 10
     let mut exec = SpmdExec::new(&sp, |_| {});
     exec.step_limit = 10_000;
     let err = exec.run().unwrap_err();
-    assert!(matches!(err, phpf::ir::interp::InterpError::StepLimit));
+    assert!(matches!(err, InterpError::StepLimit));
 }

@@ -52,7 +52,7 @@ fn shift_traffic_counted_under_shift() {
     let shift_total: u64 = m
         .per_pattern
         .iter()
-        .filter(|(k, _)| !["reduce", "control", "untracked", "element"].contains(k))
+        .filter(|(k, _)| !["reduce", "control", "untracked"].contains(k))
         .map(|(_, v)| v.messages)
         .sum();
     assert_eq!(per_op_total, shift_total);

@@ -332,7 +332,7 @@ fn main() -> ExitCode {
         let mut degraded = false;
         let observed = match backend {
             None if trace_path.is_some() => {
-                let mut exec = hpf_spmd::SpmdExec::new(&compiled.spmd, init).with_obs();
+                let mut exec = hpf_spmd::SpmdExec::new(&compiled.spmd, init).with_trace();
                 match exec.run() {
                     Ok(_) => {
                         trace_out = exec.take_obs();

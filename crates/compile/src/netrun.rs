@@ -12,8 +12,8 @@
 //!   a framed control connection and gets back the job spec plus the
 //!   full address map), and steps the cohort through the executor's
 //!   epochs in lock step. After every epoch each rank reports a status
-//!   carrying its checkpoint — cumulative stats, traffic counters and
-//!   memory — and waits for `Proceed`; once all ranks report, the parent
+//!   carrying its checkpoint — cumulative replay stats and memory — and
+//!   waits for `Proceed`; once all ranks report, the parent
 //!   commits that cut. A generation ends with one result per rank, or is
 //!   torn down on the first failure and respawned from the last committed
 //!   cut. When the respawn budget runs dry the run degrades to the
@@ -24,9 +24,14 @@
 //!   peers via [`SocketTransport::connect_mesh`], and replays its rank's
 //!   events epoch by epoch with [`hpf_spmd::replay_rank_segment`] — the
 //!   exact engine the threaded backend uses, just over sockets;
-//! * the parent merges the per-rank [`CommMetrics`] and checks every
-//!   owner slot bit-for-bit against the reference memories
-//!   ([`hpf_spmd::check_owner_slots`]).
+//! * the parent checks every owner slot bit-for-bit against the reference
+//!   memories ([`hpf_spmd::check_owner_slots`]). Workers ship no traffic
+//!   counters: a rank that completes replayed exactly its own event list,
+//!   so the run's [`CommMetrics`] are the ones the parent's reference
+//!   executor booked from those events. What the workers measure rides
+//!   along and is kept — wire messages actually sent (which must equal the
+//!   booked count), transport in-flight peaks, retransmissions, fault
+//!   events, timestamps and wire sequence numbers.
 //!
 //! Every blocking step carries a deadline (rendezvous accepts, job
 //! dispatch, heartbeats, child reaping), so a worker that dies or wedges
@@ -41,7 +46,7 @@ use hpf_net::socket::{
 };
 use hpf_net::{FaultInjector, NetError, RetryPolicy, Transport};
 use hpf_obs::{Body, BufTracer, CommKind, TraceEvent, Tracer};
-use hpf_spmd::metrics::{self, CommMetrics, RecoveryCounters};
+use hpf_spmd::metrics::{CommMetrics, RecoveryCounters};
 use hpf_spmd::{
     check_owner_slots, replay_rank_segment, validate_replay_traced, ReplayStats, Replayed, SpmdExec,
 };
@@ -281,7 +286,7 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
         0 => None,
         _ => {
             let n = d.u32().map_err(|e| e.to_string())? as usize;
-            let mut g = Vec::with_capacity(n);
+            let mut g = Vec::new();
             for _ in 0..n {
                 g.push(d.u32().map_err(|e| e.to_string())? as usize);
             }
@@ -293,11 +298,11 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
     let vectorize = d.boolean().map_err(|e| e.to_string())?;
     let trace = d.boolean().map_err(|e| e.to_string())?;
     let nfills = d.u32().map_err(|e| e.to_string())? as usize;
-    let mut fills = Vec::with_capacity(nfills);
+    let mut fills = Vec::new();
     for _ in 0..nfills {
         let name = d.str().map_err(|e| e.to_string())?;
         let n = d.u32().map_err(|e| e.to_string())? as usize;
-        let mut data = Vec::with_capacity(n);
+        let mut data = Vec::new();
         for _ in 0..n {
             data.push(d.f64().map_err(|e| e.to_string())?);
         }
@@ -306,7 +311,7 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
     let io_deadline = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
     let connect_deadline = Duration::from_millis(d.u64().map_err(|e| e.to_string())?);
     let naddrs = d.u32().map_err(|e| e.to_string())? as usize;
-    let mut addrs = Vec::with_capacity(naddrs);
+    let mut addrs = Vec::new();
     for _ in 0..naddrs {
         let s = d.str().map_err(|e| e.to_string())?;
         addrs.push(Addr::parse(&s).map_err(|e| e.to_string())?);
@@ -340,89 +345,6 @@ fn decode_job(payload: &[u8]) -> Result<WireJob, String> {
         retries,
         resume,
     })
-}
-
-/// The executor, the threaded runtime and the socket workers all key
-/// pattern counters by `&'static str`; worker results arrive as owned
-/// strings and must map back onto the same statics.
-fn intern_pattern(name: &str) -> Option<&'static str> {
-    [
-        "local",
-        "shift",
-        "broadcast",
-        "transpose",
-        "point-to-point",
-        metrics::REDUCE,
-        metrics::UNTRACKED,
-        metrics::CONTROL,
-    ]
-    .into_iter()
-    .find(|&k| k == name)
-}
-
-fn encode_metrics(e: &mut Enc, m: &CommMetrics) {
-    e.u32(m.per_proc.len() as u32);
-    for p in &m.per_proc {
-        e.u64(p.sent_messages);
-        e.u64(p.sent_bytes);
-        e.u64(p.recv_messages);
-        e.u64(p.recv_bytes);
-    }
-    e.u32(m.per_pattern.len() as u32);
-    for (k, c) in &m.per_pattern {
-        e.str(k);
-        e.u64(c.messages);
-        e.u64(c.bytes);
-    }
-    e.u32(m.per_op.len() as u32);
-    for o in &m.per_op {
-        e.u64(o.messages);
-        e.u64(o.bytes);
-        e.u64(o.elements);
-    }
-    e.u64(m.untracked_messages);
-    e.u64(m.max_in_flight);
-    e.u64(m.recovery.retransmits);
-    e.u64(m.recovery.heartbeat_misses);
-    e.u64(m.recovery.respawns);
-    e.u64(m.recovery.fallbacks);
-}
-
-fn decode_metrics(d: &mut Dec) -> Result<CommMetrics, String> {
-    let nproc = d.u32().map_err(|e| e.to_string())? as usize;
-    let nops_placeholder = 0;
-    let mut m = CommMetrics::new(nproc, nops_placeholder);
-    for p in m.per_proc.iter_mut() {
-        p.sent_messages = d.u64().map_err(|e| e.to_string())?;
-        p.sent_bytes = d.u64().map_err(|e| e.to_string())?;
-        p.recv_messages = d.u64().map_err(|e| e.to_string())?;
-        p.recv_bytes = d.u64().map_err(|e| e.to_string())?;
-    }
-    let npat = d.u32().map_err(|e| e.to_string())? as usize;
-    for _ in 0..npat {
-        let name = d.str().map_err(|e| e.to_string())?;
-        let key = intern_pattern(&name)
-            .ok_or_else(|| format!("unknown communication pattern {:?} in result", name))?;
-        let c = m.per_pattern.entry(key).or_default();
-        c.messages = d.u64().map_err(|e| e.to_string())?;
-        c.bytes = d.u64().map_err(|e| e.to_string())?;
-    }
-    let nops = d.u32().map_err(|e| e.to_string())? as usize;
-    m.per_op = Vec::with_capacity(nops);
-    for _ in 0..nops {
-        m.per_op.push(metrics::OpMetrics {
-            messages: d.u64().map_err(|e| e.to_string())?,
-            bytes: d.u64().map_err(|e| e.to_string())?,
-            elements: d.u64().map_err(|e| e.to_string())?,
-        });
-    }
-    m.untracked_messages = d.u64().map_err(|e| e.to_string())?;
-    m.max_in_flight = d.u64().map_err(|e| e.to_string())?;
-    m.recovery.retransmits = d.u64().map_err(|e| e.to_string())?;
-    m.recovery.heartbeat_misses = d.u64().map_err(|e| e.to_string())?;
-    m.recovery.respawns = d.u64().map_err(|e| e.to_string())?;
-    m.recovery.fallbacks = d.u64().map_err(|e| e.to_string())?;
-    Ok(m)
 }
 
 fn comm_kind_code(k: CommKind) -> u8 {
@@ -521,8 +443,9 @@ fn encode_obs_events(e: &mut Enc, events: &[TraceEvent]) {
 }
 
 fn decode_obs_events(d: &mut Dec) -> Result<Vec<TraceEvent>, String> {
+    // Counts come off the wire: nothing is preallocated from them.
     let n = d.u32().map_err(|e| e.to_string())? as usize;
-    let mut events = Vec::with_capacity(n);
+    let mut events = Vec::new();
     for _ in 0..n {
         let t_us = d.u64().map_err(|e| e.to_string())?;
         let rank = match d.u32().map_err(|e| e.to_string())? {
@@ -633,22 +556,15 @@ fn decode_memory(d: &mut Dec, program: &Program) -> Result<Memory, String> {
 }
 
 /// A rank's state at an epoch cut or at the end of its replay: cumulative
-/// stats, traffic counters and memory. Epoch statuses, the respawn resume
-/// blob and final results all carry one, so a respawned rank resumes its
-/// traffic accounting together with its memory.
-type Checkpoint = (ReplayStats, CommMetrics, Memory);
+/// replay stats and memory. Epoch statuses, the respawn resume blob and
+/// final results all carry one. Traffic is not carried: it is the rank's
+/// events.
+type Checkpoint = (ReplayStats, Memory);
 type RankResult = Result<Checkpoint, String>;
 
-fn encode_checkpoint(
-    e: &mut Enc,
-    program: &Program,
-    stats: &ReplayStats,
-    m: &CommMetrics,
-    mem: &Memory,
-) {
+fn encode_checkpoint(e: &mut Enc, program: &Program, (stats, mem): &Checkpoint) {
     e.u64(stats.messages_sent);
     e.u64(stats.events);
-    encode_metrics(e, m);
     encode_memory(e, program, mem);
 }
 
@@ -657,21 +573,15 @@ fn decode_checkpoint(d: &mut Dec, program: &Program) -> Result<Checkpoint, Strin
         messages_sent: d.u64().map_err(|e| e.to_string())?,
         events: d.u64().map_err(|e| e.to_string())?,
     };
-    let m = decode_metrics(d)?;
-    let mem = decode_memory(d, program)?;
-    Ok((stats, m, mem))
+    Ok((stats, decode_memory(d, program)?))
 }
 
 /// A checkpoint behind a `1` tag, or a replay error behind a `0`.
-fn encode_rank_result(
-    e: &mut Enc,
-    program: &Program,
-    res: Result<(&ReplayStats, &CommMetrics, &Memory), &str>,
-) {
+fn encode_rank_result(e: &mut Enc, program: &Program, res: &RankResult) {
     match res {
-        Ok((stats, m, mem)) => {
+        Ok(cp) => {
             e.u8(1);
-            encode_checkpoint(e, program, stats, m, mem);
+            encode_checkpoint(e, program, cp);
         }
         Err(msg) => {
             e.u8(0);
@@ -687,18 +597,25 @@ fn decode_rank_result(d: &mut Dec, program: &Program) -> Result<RankResult, Stri
     }
 }
 
-/// A worker's final report, behind its control tag: its result plus its
-/// observability timeline. The timeline rides along on errors too: a
-/// failed replay still ships its comm events and the transport's fault
-/// events. The control reader strips the tag before [`decode_result`].
-fn encode_result(res: &RankResult, obs: &[TraceEvent], program: &Program) -> Vec<u8> {
+/// What a worker's transport measured over the whole run: its in-flight
+/// peak and its link retransmissions.
+#[derive(Debug, Clone, Copy)]
+struct Measured {
+    peak_in_flight: u64,
+    retransmits: u64,
+}
+
+/// A worker's final report, behind its control tag: its transport's
+/// measurements, its result and its observability timeline. The timeline
+/// rides along on errors too: a failed replay still ships its comm events
+/// and the transport's fault events. The control reader strips the tag
+/// before [`decode_result`].
+fn encode_result(m: Measured, res: &RankResult, obs: &[TraceEvent], program: &Program) -> Vec<u8> {
     let mut e = Enc::new();
     e.u8(TAG_RESULT);
-    encode_rank_result(
-        &mut e,
-        program,
-        res.as_ref().map(|(s, m, mem)| (s, m, mem)).map_err(String::as_str),
-    );
+    e.u64(m.peak_in_flight);
+    e.u64(m.retransmits);
+    encode_rank_result(&mut e, program, res);
     encode_obs_events(&mut e, obs);
     e.buf
 }
@@ -706,12 +623,16 @@ fn encode_result(res: &RankResult, obs: &[TraceEvent], program: &Program) -> Vec
 fn decode_result(
     payload: &[u8],
     program: &Program,
-) -> Result<(RankResult, Vec<TraceEvent>), String> {
+) -> Result<(Measured, RankResult, Vec<TraceEvent>), String> {
     let mut d = Dec::new(payload);
+    let m = Measured {
+        peak_in_flight: d.u64().map_err(|e| e.to_string())?,
+        retransmits: d.u64().map_err(|e| e.to_string())?,
+    };
     let res = decode_rank_result(&mut d, program)?;
     let obs = decode_obs_events(&mut d)?;
     d.done().map_err(|e| e.to_string())?;
-    Ok((res, obs))
+    Ok((m, res, obs))
 }
 
 fn make_init<'a>(
@@ -982,13 +903,14 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
     };
 
     let mut stats = ReplayStats::default();
-    let mut metrics = CommMetrics::new(nproc, compiled.spmd.comms.len());
+    let mut peak_in_flight = 0;
     let mut mems = Vec::with_capacity(nproc);
     let mut rank_obs: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
-    for (rank, ((s, m, mem), obs)) in results.into_iter().enumerate() {
+    for (rank, (m, (s, mem), obs)) in results.into_iter().enumerate() {
         stats.messages_sent += s.messages_sent;
         stats.events += s.events;
-        metrics.merge(&m);
+        peak_in_flight = peak_in_flight.max(m.peak_in_flight);
+        recovery.retransmits += m.retransmits;
         mems.push(mem);
         if trace {
             // Fault evidence salvaged from rolled-back generations
@@ -1000,6 +922,11 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
     }
     check_owner_slots(&compiled.spmd, &mems, &exec.mems)
         .map_err(|e| format!("processes vs reference: {}", e))?;
+    // Every rank completed its own event list, so the run's traffic is the
+    // traffic the reference executor booked from those events.
+    let mut metrics = std::mem::take(&mut exec.metrics);
+    check_sent(stats.messages_sent, &metrics)?;
+    metrics.max_in_flight = peak_in_flight;
     metrics.recovery.merge(&recovery);
     let obs = trace.then(|| {
         pipe.end("replay");
@@ -1012,6 +939,18 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
         obs,
         degraded: false,
     })
+}
+
+/// The workers' measured wire messages must equal the booked traffic.
+fn check_sent(sent: u64, metrics: &CommMetrics) -> Result<(), String> {
+    if sent != metrics.messages() {
+        return Err(format!(
+            "worker processes sent {} wire messages, but the recorded schedule books {}",
+            sent,
+            metrics.messages()
+        ));
+    }
+    Ok(())
 }
 
 /// The respawn budget is spent: re-run the program on the in-process
@@ -1154,6 +1093,23 @@ struct StatusMsg {
     body: Result<Vec<u8>, String>,
 }
 
+/// A worker's end-of-epoch status blob, behind its control tag.
+fn encode_status(
+    epoch: u32,
+    retransmits: u64,
+    faults: &[TraceEvent],
+    program: &Program,
+    res: &RankResult,
+) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u8(TAG_STATUS);
+    e.u32(epoch);
+    e.u64(retransmits);
+    encode_obs_events(&mut e, faults);
+    encode_rank_result(&mut e, program, res);
+    e.buf
+}
+
 fn decode_status(payload: &[u8]) -> Result<StatusMsg, String> {
     let mut d = Dec::new(payload);
     let epoch = d.u32().map_err(|e| e.to_string())?;
@@ -1259,7 +1215,7 @@ struct Committed {
 
 enum GenOutcome {
     /// Every rank delivered a successful result.
-    Finished(Vec<(Checkpoint, Vec<TraceEvent>)>),
+    Finished(Vec<(Measured, Checkpoint, Vec<TraceEvent>)>),
     /// At least one rank died or failed; the generation was torn down.
     /// `None` ranks are setup failures not attributable to one worker.
     Failed { dead: Vec<(Option<usize>, String)> },
@@ -1349,7 +1305,7 @@ fn run_generation(
 
     let mut last_heard: Vec<Instant> = vec![Instant::now(); nproc];
     let mut statuses: Vec<Option<Vec<u8>>> = vec![None; nproc];
-    let mut results: Vec<Option<(Checkpoint, Vec<TraceEvent>)>> =
+    let mut results: Vec<Option<(Measured, Checkpoint, Vec<TraceEvent>)>> =
         (0..nproc).map(|_| None).collect();
     let mut prov_faults: Vec<Vec<TraceEvent>> = vec![Vec::new(); nproc];
     let mut prov_retx: Vec<u64> = vec![0; nproc];
@@ -1383,11 +1339,11 @@ fn run_generation(
             Ok(ParentMsg::Result { rank, payload }) => {
                 last_heard[rank] = Instant::now();
                 match decode_result(&payload, program) {
-                    Ok((Ok(res), obs)) => {
+                    Ok((m, Ok(cp), obs)) => {
                         ledger.accounted[rank] = true;
-                        results[rank] = Some((res, obs));
+                        results[rank] = Some((m, cp, obs));
                     }
-                    Ok((Err(msg), _)) => ledger.fail(rank, msg),
+                    Ok((_, Err(msg), _)) => ledger.fail(rank, msg),
                     Err(e) => ledger.fail(rank, format!("bad result: {}", e)),
                 }
             }
@@ -1597,9 +1553,9 @@ fn replay_epochs(
     let trace = exec.trace.take().expect("trace recorded");
 
     let start_epoch = wire.resume.as_ref().map_or(0, |(done, _)| *done as usize);
-    let (mut stats, mut metrics, mut mem) = match &wire.resume {
-        // Resume from the supervisor's committed checkpoint — memory and
-        // traffic counters alike — instead of the initial fills.
+    let (mut stats, mut mem) = match &wire.resume {
+        // Resume from the supervisor's committed checkpoint instead of the
+        // initial fills.
         Some((_, blob)) => {
             let mut d = Dec::new(blob);
             let cp = decode_checkpoint(&mut d, program)?;
@@ -1609,11 +1565,7 @@ fn replay_epochs(
         None => {
             let mut mem = Memory::zeroed(program);
             init(&mut mem);
-            (
-                ReplayStats::default(),
-                CommMetrics::new(nproc, compiled.spmd.comms.len()),
-                mem,
-            )
+            (ReplayStats::default(), mem)
         }
     };
 
@@ -1647,7 +1599,6 @@ fn replay_epochs(
             &mut mem,
             &mut transport,
             &mut stats,
-            &mut metrics,
             obs.as_mut(),
             |_| {
                 if let Some(inj) = &injector {
@@ -1673,20 +1624,10 @@ fn replay_epochs(
                 .collect(),
             None => fault_log.clone(),
         };
-        let mut enc = Enc::new();
-        enc.u8(TAG_STATUS);
-        enc.u32(epoch as u32);
-        enc.u64(transport.retransmits());
-        encode_obs_events(&mut enc, &faults);
-        encode_rank_result(
-            &mut enc,
-            program,
-            res.as_ref()
-                .map(|()| (&stats, &metrics, &mem))
-                .map_err(String::as_str),
-        );
-        let sent = control.lock().unwrap().write(FrameKind::Blob, &enc.buf);
-        res?;
+        let res = res.map(|()| (stats, mem));
+        let status = encode_status(epoch as u32, transport.retransmits(), &faults, program, &res);
+        let sent = control.lock().unwrap().write(FrameKind::Blob, &status);
+        (stats, mem) = res?;
         sent.map_err(|e| format!("sending epoch {} status: {}", epoch, e))?;
         let payload = read_blob(reader, "directive from supervisor")?;
         if payload.first() != Some(&DIRECTIVE_PROCEED) {
@@ -1701,10 +1642,12 @@ fn replay_epochs(
     if let Some(o) = obs.as_mut() {
         o.absorb(transport.take_fault_events());
     }
-    metrics.saw_in_flight(transport.peak_in_flight());
-    metrics.recovery.retransmits = transport.retransmits();
+    let measured = Measured {
+        peak_in_flight: transport.peak_in_flight(),
+        retransmits: transport.retransmits(),
+    };
     let result: RankResult = match fin {
-        Ok(()) => Ok((stats, metrics, mem)),
+        Ok(()) => Ok((stats, mem)),
         Err(e) => Err(format!("proc {}: teardown: {}", rank, e)),
     };
     let obs_events = obs.map(|o| o.into_events()).unwrap_or_default();
@@ -1713,7 +1656,7 @@ fn replay_epochs(
         .unwrap()
         .write(
             FrameKind::Blob,
-            &encode_result(&result, &obs_events, program),
+            &encode_result(measured, &result, &obs_events, program),
         )
         .map_err(|e| format!("sending result: {}", e))?;
     result.map(|_| ())
@@ -1722,6 +1665,125 @@ fn replay_epochs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpf_net::retry::splitmix64;
+
+    const SRC: &str = "!HPF$ PROCESSORS P(2)
+!HPF$ DISTRIBUTE (BLOCK) :: A
+REAL A(8)
+INTEGER i
+DO i = 2, 8
+  A(i) = A(i-1) + 1.0
+END DO
+";
+
+    fn fault(name: &str) -> TraceEvent {
+        TraceEvent {
+            t_us: 7,
+            rank: Some(1),
+            body: Body::Fault {
+                name: name.into(),
+                detail: "dropped frame(s)".into(),
+                peer: Some(0),
+                last_seq: Some(3),
+            },
+        }
+    }
+
+    /// An encoded job, status and result blob (control tags stripped, as
+    /// the parent's and the worker's decoders see them).
+    fn blobs(compiled: &Compiled) -> [Vec<u8>; 3] {
+        let program = &compiled.spmd.program;
+        let job = NetJob::new(SRC).with_default_fills().unwrap();
+        let addrs = [Addr::parse("unix:/tmp/r0.sock").unwrap(), Addr::parse("tcp:127.0.0.1:9").unwrap()];
+        let plan = FaultPlan::parse("corrupt:0>1@2,kill:1@600").unwrap();
+        let mut mem = Memory::zeroed(program);
+        make_init(compiled, &job.fills).unwrap()(&mut mem);
+        let stats = ReplayStats { messages_sent: 5, events: 9 };
+        let mut cp = Enc::new();
+        encode_checkpoint(&mut cp, program, &(stats, mem.clone()));
+        let job = encode_job(&job, &NetRunConfig::default(), &addrs, &plan, Some((2, &cp.buf)));
+        let res: RankResult = Ok((stats, mem));
+        let status = encode_status(3, 1, &[fault("seq-gap")], program, &res);
+        let m = Measured { peak_in_flight: 4, retransmits: 1 };
+        let result = encode_result(m, &res, &[fault("bad-checksum")], program);
+        [job, status[1..].to_vec(), result[1..].to_vec()]
+    }
+
+    /// Decode one blob of each kind as its reader does; the opaque
+    /// checkpoints inside jobs and statuses are decoded too.
+    fn decode_any(kind: usize, blob: &[u8], program: &Program) -> Result<(), String> {
+        let cp = match kind {
+            0 => decode_job(blob)?.resume.map(|(_, cp)| cp),
+            1 => decode_status(blob)?.body.ok(),
+            _ => return decode_result(blob, program).map(|_| ()),
+        };
+        if let Some(cp) = cp {
+            decode_checkpoint(&mut Dec::new(&cp), program)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn huge_wire_counts_are_errors_not_aborts() {
+        let mut e = Enc::new();
+        e.u32(u32::MAX);
+        assert!(decode_obs_events(&mut Dec::new(&e.buf)).is_err());
+
+        let mut e = Enc::new();
+        e.str(SRC);
+        e.str(Version::SelectedAlignment.flag());
+        e.u8(0);
+        for _ in 0..4 {
+            e.boolean(false);
+        }
+        e.u32(1);
+        e.str("a");
+        e.u32(u32::MAX);
+        assert!(decode_job(&e.buf).is_err());
+    }
+
+    /// Byte flips, 0xFF-filled words (huge counts) and truncations of
+    /// every control blob decode to `Ok` or `Err`: never a panic, never an
+    /// allocation abort.
+    #[test]
+    fn mutated_control_blobs_never_panic() {
+        let compiled = NetJob::new(SRC).compile().unwrap();
+        let program = &compiled.spmd.program;
+        let mut rng = 0x5eed_u64;
+        let mut next = |n: usize| {
+            rng = splitmix64(rng);
+            (rng % n as u64) as usize
+        };
+        for (kind, blob) in blobs(&compiled).iter().enumerate() {
+            decode_any(kind, blob, program).unwrap();
+            for _ in 0..1500 {
+                let mut b = blob.clone();
+                match next(3) {
+                    0 => {
+                        for _ in 0..=next(3) {
+                            let at = next(b.len());
+                            b[at] ^= 1 << next(8);
+                        }
+                    }
+                    1 => {
+                        let at = next(b.len() - 3);
+                        b[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                    }
+                    _ => b.truncate(next(b.len())),
+                }
+                let _ = decode_any(kind, &b, program);
+            }
+        }
+    }
+
+    #[test]
+    fn sent_messages_must_match_the_booked_traffic() {
+        let mut m = CommMetrics::new(2, 0);
+        m.note_message(hpf_spmd::metrics::UNTRACKED, None, 0, 1, 1, 8);
+        assert!(check_sent(1, &m).is_ok());
+        let err = check_sent(2, &m).unwrap_err();
+        assert!(err.contains("sent 2") && err.contains("books 1"), "{}", err);
+    }
 
     #[test]
     fn lockstep_cuts_keep_both_ends_and_at_most_max_epochs() {

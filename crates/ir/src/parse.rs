@@ -29,6 +29,12 @@ use crate::program::{Program, VarId};
 use crate::stmt::{LValue, Label, Stmt, StmtId};
 use crate::types::{ArrayShape, ScalarTy, VarInfo};
 
+/// Most elements one declared array may hold. Every processor's memory
+/// holds a full copy of each array, so this bounds memory per copy. It is
+/// 12.8x the largest array of the paper's table sizes (APPSP n = 64,
+/// `RSD(5,64,64,64)`: 1,310,720 elements).
+pub const MAX_ARRAY_ELEMS: i64 = 1 << 24;
+
 /// A parse error with a 1-based line number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
@@ -681,6 +687,15 @@ impl Parser {
                         break;
                     }
                     lp.expect_sym(",")?;
+                }
+                let elems = dims.iter().try_fold(1i64, |n, &(lo, hi)| {
+                    n.checked_mul(hi.checked_sub(lo)?.checked_add(1)?.max(0))
+                });
+                if elems.is_none_or(|n| n > MAX_ARRAY_ELEMS) {
+                    return lp.err(format!(
+                        "array '{}' exceeds the budget of {} elements per array",
+                        name, MAX_ARRAY_ELEMS
+                    ));
                 }
                 self.program
                     .vars

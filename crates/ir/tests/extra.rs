@@ -237,3 +237,18 @@ fn duplicate_declaration_is_a_line_anchored_diagnostic() {
     assert_eq!(err.line, 3, "{}", err);
     assert!(err.msg.contains("duplicate declaration of 'x'"), "{}", err);
 }
+
+#[test]
+fn oversized_array_declarations_are_rejected_with_their_line() {
+    // The element count overflows i64.
+    let src = "INTEGER k\nREAL Z(100000,100000,100000,100000)\n";
+    let e = parse_program(src).unwrap_err();
+    assert_eq!(e.line, 2, "{}", e.msg);
+    assert!(e.msg.contains("'z'") && e.msg.contains("budget"), "{}", e.msg);
+    // Fits in i64 but exceeds the per-array budget (120,000,024 elements).
+    let e = parse_program("REAL Y(12,10000002)\n").unwrap_err();
+    assert_eq!(e.line, 1, "{}", e.msg);
+    assert!(e.msg.contains(&hpf_ir::parse::MAX_ARRAY_ELEMS.to_string()), "{}", e.msg);
+    // The paper's largest table-size array is well inside the budget.
+    parse_program("REAL RSD(5,64,64,64)\n").unwrap();
+}

@@ -9,11 +9,16 @@
 //! through [`hpf_ir::interp::assign`] over an operand source that fetches
 //! every non-local read from its owner. Performance is modelled separately
 //! by [`crate::costsim`]. [`ExecStats`] still counts exact per-element
-//! fetches (an upper bound, useful for invariants); wire-level traffic —
+//! fetches (an upper bound, useful for invariants). Each wire message —
 //! where the per-element fetches of a hoisted communication operation
 //! coalesce into one vectorized [`Event::SendVec`]/[`Event::RecvVec`]
-//! message — is recorded in [`CommMetrics`], directly comparable to the
-//! cost model's message predictions (checked by [`crate::crosscheck`]).
+//! message — is recorded once, as its [`Event`]: the executor books the
+//! event into [`CommMetrics`] when it is final (a `Send` when built, a
+//! `SendVec` when its group closes), and [`SpmdExec::take_obs`] derives
+//! the comm timelines from the recorded trace through [`comm_bodies`],
+//! the mapping the replay records its timeline with. The counters are
+//! directly comparable to the cost model's message predictions (checked
+//! by [`crate::crosscheck`]).
 
 use crate::guard::{resolve_owner_pid, Guard};
 use crate::lower::{CommData, ReduceOp, SpmdProgram};
@@ -21,7 +26,7 @@ use crate::metrics::CommMetrics;
 use hpf_analysis::RedOp;
 use hpf_dist::{dist_owner, GridCoord, GridDimRule, OwnerSet, ProcGrid};
 use hpf_ir::interp::{self, eval_binop, eval_intrinsic, ArrayStore, InterpError, Memory, Operands};
-use hpf_ir::{ArrayRef, BinOp, Expr, Intrinsic, Label, Stmt, StmtId, Value, VarId};
+use hpf_ir::{ArrayRef, BinOp, Expr, Intrinsic, Label, Program, Stmt, StmtId, Value, VarId};
 use hpf_obs::{Body, BufTracer, CommKind};
 use phpf_core::ScalarMapping;
 use std::collections::{HashMap, HashSet};
@@ -34,11 +39,19 @@ pub enum Slot {
     Elem(VarId, usize),
 }
 
+impl Slot {
+    /// Payload bytes of the slot's value on the wire.
+    pub fn bytes(self, p: &Program) -> u64 {
+        let (Slot::Scalar(v) | Slot::Elem(v, _)) = self;
+        p.vars.info(v).ty.byte_size() as u64
+    }
+}
+
 /// What one per-element message is booked under. The executor tags the
-/// `Send`, `Recv` and `RecvPartial` events it records, and the replay books
-/// each event under its tag, so both record the same [`CommMetrics`] and
-/// comm timelines. Two words wide, so `Event` stays the size of its
-/// `SendVec` variant: traces hold one event per message.
+/// `Send`, `Recv` and `RecvPartial` events it records, and the counters
+/// ([`CommMetrics::book`]) and timelines ([`comm_bodies`]) read the tag off
+/// the event. Two words wide, so `Event` stays the size of its `SendVec`
+/// variant: traces hold one event per message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tag {
     /// A fetch served by placed communication operation `i` (an index into
@@ -89,28 +102,47 @@ impl Tag {
     }
 }
 
-/// The comm timeline entry of one message of kind `kind` booked under
-/// `tag` (sends carry the link's wire sequence number when known).
-pub(crate) fn comm_body(
+/// Hand `push` the comm timeline entries that rank `pid`'s event `ev`
+/// yields: one per wire message it sends or receives — none for compute
+/// events, two for a `RecvPartial` that carries a location. A send carries
+/// `seq`, its link's wire sequence number when known. The executor derives
+/// its timelines through this and the replay records each event through
+/// it, so both tell the same story.
+pub(crate) fn comm_bodies(
     sp: &SpmdProgram,
-    kind: CommKind,
-    (from, to): (usize, usize),
-    tag: Tag,
-    elems: u64,
+    pid: usize,
+    ev: &Event,
     seq: Option<u64>,
-) -> Body {
+    mut push: impl FnMut(Body),
+) {
+    let (kind, (from, to), tag, elems, n) = match ev {
+        Event::Send { to, tag, .. } => (tag.kinds().0, (pid, *to), *tag, 1, 1),
+        Event::Recv { from, tag, .. } => (tag.kinds().1, (*from, pid), *tag, 1, 1),
+        Event::SendVec { to, op, slots } => {
+            (CommKind::SendVec, (pid, *to), Tag::Op(*op), slots.len(), 1)
+        }
+        Event::RecvVec { from, op, slots } => {
+            (CommKind::RecvVec, (*from, pid), Tag::Op(*op), slots.len(), 1)
+        }
+        Event::RecvPartial { from, has_loc, tag } => {
+            (tag.kinds().1, (*from, pid), *tag, 1, 1 + usize::from(*has_loc))
+        }
+        Event::Exec { .. } | Event::CondExec { .. } | Event::Combine { .. } => return,
+    };
     let (pattern, level, stmt_level) = tag.booking(sp);
-    Body::Comm {
-        kind,
-        from,
-        to,
-        op: tag.op(),
-        pattern: pattern.to_string(),
-        level,
-        stmt_level,
-        place: hpf_comm::placement_tag(level, stmt_level),
-        elems,
-        seq,
+    for _ in 0..n {
+        push(Body::Comm {
+            kind,
+            from,
+            to,
+            op: tag.op(),
+            pattern: pattern.to_string(),
+            level,
+            stmt_level,
+            place: hpf_comm::placement_tag(level, stmt_level),
+            elems: elems as u64,
+            seq: if from == pid { seq } else { None },
+        });
     }
 }
 
@@ -159,6 +191,16 @@ pub enum Event {
     },
 }
 
+impl Event {
+    /// The destination of a `Send`/`SendVec`.
+    pub(crate) fn send_to(&self) -> Option<usize> {
+        match self {
+            Event::Send { to, .. } | Event::SendVec { to, .. } => Some(*to),
+            _ => None,
+        }
+    }
+}
+
 /// Per-processor event lists.
 pub type Trace = Vec<Vec<Event>>;
 
@@ -183,18 +225,15 @@ enum Flow {
 /// A coalesced message under assembly: further fetches of the same
 /// (operation, src, dst) triple append to it instead of opening a new
 /// message, until the placement loop advances and the group closes.
+#[derive(Default)]
 struct OpenGroup {
-    /// Positions of the group's `SendVec`/`RecvVec` events in the sender's
-    /// and receiver's trace (present only when tracing). Stable because
-    /// traces are append-only.
-    send_idx: Option<usize>,
-    recv_idx: Option<usize>,
-    /// Positions of the group's comm events in the sender's and receiver's
-    /// observability timelines (present only when observing), so each
-    /// coalesced element grows the open message's `elems` in place.
-    obs_send: Option<usize>,
-    obs_recv: Option<usize>,
-    /// Slots already carried — repeat fetches of one element are free.
+    /// Positions of the group's `SendVec` and `RecvVec` placeholders in the
+    /// sender's and receiver's trace (present only when tracing), filled
+    /// when the group closes. Stable because traces are append-only.
+    at: Option<(usize, usize)>,
+    /// Slots carried, in first-fetch order.
+    slots: Vec<Slot>,
+    /// The same slots as a set — repeat fetches of one element are free.
     seen: HashSet<Slot>,
 }
 
@@ -216,10 +255,6 @@ pub struct SpmdExec<'s> {
     /// so every event before a cut is final. Supervised replay restarts a
     /// failed rank from the last committed cut.
     cuts: Vec<Vec<usize>>,
-    /// When present, one observability timeline per processor: every wire
-    /// message yields a send-side event on the source rank's timeline and
-    /// a receive-side event on the destination rank's.
-    pub obs: Option<Vec<BufTracer>>,
     /// Current loop-variable bindings (outermost first).
     loop_env: Vec<(VarId, i64)>,
     /// Coalesce hoisted fetches into vectorized messages (default on).
@@ -257,7 +292,6 @@ impl<'s> SpmdExec<'s> {
             step_limit: 2_000_000_000,
             trace: None,
             cuts: Vec::new(),
-            obs: None,
             loop_env: Vec::new(),
             vectorize: true,
             cur_stmt: None,
@@ -272,42 +306,19 @@ impl<'s> SpmdExec<'s> {
         self
     }
 
-    /// Enable observability recording (one timeline per processor).
-    pub fn with_obs(mut self) -> Self {
-        self.obs = Some((0..self.grid.total()).map(BufTracer::for_rank).collect());
-        self
-    }
-
-    /// Take the recorded observability timelines as one merged trace
-    /// (ranks in ascending order). `None` unless [`SpmdExec::with_obs`]
-    /// was used.
-    pub fn take_obs(&mut self) -> Option<hpf_obs::Trace> {
-        self.obs.take().map(|ts| {
-            hpf_obs::Trace::from_ranks(
-                ts.into_iter()
-                    .enumerate()
-                    .map(|(r, t)| (r, t.into_events()))
-                    .collect(),
-            )
-        })
-    }
-
-    /// Record one wire message on both endpoint timelines; returns the
-    /// (send, recv) event indices for in-place growth of coalesced groups.
-    fn obs_message(
-        &mut self,
-        (send_kind, recv_kind): (CommKind, CommKind),
-        (src, dst): (usize, usize),
-        tag: Tag,
-        elems: u64,
-    ) -> (Option<usize>, Option<usize>) {
-        let Some(obs) = &mut self.obs else {
-            return (None, None);
-        };
-        let mk = |kind| comm_body(self.sp, kind, (src, dst), tag, elems, None);
-        let s = obs[src].push(mk(send_kind));
-        let r = obs[dst].push(mk(recv_kind));
-        (Some(s), Some(r))
+    /// The comm timelines of the recorded trace as one merged observability
+    /// trace (ranks in ascending order): each rank's events mapped through
+    /// [`comm_bodies`], exactly as the replay records them. `None` unless
+    /// [`SpmdExec::with_trace`] was used.
+    pub fn take_obs(&self) -> Option<hpf_obs::Trace> {
+        let ranks = self.trace.as_ref()?.iter().enumerate().map(|(r, events)| {
+            let mut t = BufTracer::for_rank(r);
+            for ev in events {
+                comm_bodies(self.sp, r, ev, None, |b| t.push(b));
+            }
+            (r, t.into_events())
+        });
+        Some(hpf_obs::Trace::from_ranks(ranks.collect()))
     }
 
     /// Disable fetch coalescing: every cross-processor element moves as
@@ -348,77 +359,29 @@ impl<'s> SpmdExec<'s> {
     }
 
     /// One cross-processor element fetch: always counted per-element in
-    /// `stats`; in `metrics` (and the trace) a fetch belonging to a
-    /// hoisted operation joins that operation's open coalesced message for
-    /// this (src, dst) pair, so it costs a wire message only when it opens
-    /// the group.
+    /// `stats`; on the wire a fetch belonging to a hoisted operation joins
+    /// that operation's open coalesced message for this (src, dst) pair,
+    /// which is booked once, when it closes.
     fn fetch(&mut self, op: Option<usize>, src: usize, dst: usize, slot: Slot, bytes: u64) {
         self.stats.messages += 1;
         self.stats.bytes += bytes;
         let hoisted = op.map(|i| self.sp.comms[i].hoisted()).unwrap_or(false);
         if self.vectorize && hoisted {
             let i = op.unwrap();
-            let pattern = self.sp.comms[i].pattern.name();
             let key = (i, src, dst);
             if !self.open.contains_key(&key) {
-                let (send_idx, recv_idx) = match &mut self.trace {
-                    Some(t) => {
-                        t[src].push(Event::SendVec {
-                            to: dst,
-                            op: i,
-                            slots: Vec::new(),
-                        });
-                        t[dst].push(Event::RecvVec {
-                            from: src,
-                            op: i,
-                            slots: Vec::new(),
-                        });
-                        (Some(t[src].len() - 1), Some(t[dst].len() - 1))
-                    }
-                    None => (None, None),
-                };
-                let (obs_send, obs_recv) = self.obs_message(
-                    (CommKind::SendVec, CommKind::RecvVec),
-                    (src, dst),
-                    Tag::Op(i),
-                    0,
-                );
-                self.open.insert(
-                    key,
-                    OpenGroup {
-                        send_idx,
-                        recv_idx,
-                        obs_send,
-                        obs_recv,
-                        seen: HashSet::new(),
-                    },
-                );
-                self.metrics.note_message(pattern, Some(i), src, dst, 0);
+                // Placeholders keep the message's place in both traces.
+                let at = self.trace.as_mut().map(|t| {
+                    t[src].push(Event::SendVec { to: dst, op: i, slots: Vec::new() });
+                    t[dst].push(Event::RecvVec { from: src, op: i, slots: Vec::new() });
+                    (t[src].len() - 1, t[dst].len() - 1)
+                });
+                self.open.insert(key, OpenGroup { at, ..OpenGroup::default() });
                 self.metrics.saw_in_flight(self.open.len() as u64);
             }
             let g = self.open.get_mut(&key).unwrap();
             if g.seen.insert(slot) {
-                if let Some(t) = &mut self.trace {
-                    if let Some(Event::SendVec { slots, .. }) =
-                        g.send_idx.map(|x| &mut t[src][x])
-                    {
-                        slots.push(slot);
-                    }
-                    if let Some(Event::RecvVec { slots, .. }) =
-                        g.recv_idx.map(|x| &mut t[dst][x])
-                    {
-                        slots.push(slot);
-                    }
-                }
-                if let Some(obs) = &mut self.obs {
-                    if let Some(x) = g.obs_send {
-                        obs[src].bump_elems(x, 1);
-                    }
-                    if let Some(x) = g.obs_recv {
-                        obs[dst].bump_elems(x, 1);
-                    }
-                }
-                self.metrics.note_payload(pattern, i, src, dst, bytes);
+                g.slots.push(slot);
             }
         } else {
             let tag = match op {
@@ -426,29 +389,46 @@ impl<'s> SpmdExec<'s> {
                 None if self.ctrl_eval => Tag::Control(self.loop_env.len()),
                 None => Tag::Untracked(self.loop_env.len()),
             };
-            self.send_elem(tag, src, dst, slot, bytes);
+            self.send_elem(tag, src, dst, slot);
             self.record(dst, Event::Recv { from: src, slot, tag });
         }
     }
 
-    /// Book one per-element message: the metrics, both endpoint timelines
-    /// and the sender's `Send` event. The caller records the receive side.
-    fn send_elem(&mut self, tag: Tag, src: usize, dst: usize, slot: Slot, bytes: u64) {
-        let (pattern, ..) = tag.booking(self.sp);
-        self.metrics.note_message(pattern, tag.op(), src, dst, bytes);
-        self.obs_message(tag.kinds(), (src, dst), tag, 1);
-        self.record(src, Event::Send { to: dst, slot, tag });
+    /// Build, book and record one per-element `Send`. The caller records
+    /// the receive side.
+    fn send_elem(&mut self, tag: Tag, src: usize, dst: usize, slot: Slot) {
+        let ev = Event::Send { to: dst, slot, tag };
+        self.metrics.book(self.sp, src, &ev);
+        self.record(src, ev);
     }
 
     /// Close every coalescing group whose placement loop (at `depth` or
     /// deeper) advanced: the next fetch of its operation starts a new
-    /// message.
+    /// message. Each closed group is now final: its `SendVec` is booked
+    /// and fills the trace placeholders.
     fn close_groups(&mut self, depth: usize) {
         if self.open.is_empty() {
             return;
         }
         let sp = self.sp;
-        self.open.retain(|&(i, _, _), _| sp.comms[i].level < depth);
+        let mut closed = Vec::new();
+        self.open.retain(|&key, g| {
+            let keep = sp.comms[key.0].level < depth;
+            if !keep {
+                closed.push((key, std::mem::take(g)));
+            }
+            keep
+        });
+        for ((op, src, dst), g) in closed {
+            let send = Event::SendVec { to: dst, op, slots: g.slots };
+            self.metrics.book(sp, src, &send);
+            if let (Some(t), Some((s, r))) = (&mut self.trace, g.at) {
+                if let Event::SendVec { slots, .. } = &send {
+                    t[dst][r] = Event::RecvVec { from: src, op, slots: slots.clone() };
+                }
+                t[src][s] = send;
+            }
+        }
     }
 
     /// Run to completion.
@@ -598,7 +578,7 @@ impl<'s> SpmdExec<'s> {
             Stmt::Goto(l) => {
                 // A jump may re-enter earlier code without a loop-iteration
                 // boundary; conservatively close every coalescing group.
-                self.open.clear();
+                self.close_groups(0);
                 Ok(Flow::Goto(*l))
             }
             Stmt::Continue => Ok(Flow::Normal),
@@ -670,14 +650,12 @@ impl<'s> SpmdExec<'s> {
     /// partials (acc, then loc) to the leader `pids[0]`, which folds them
     /// and broadcasts the result back.
     fn combine_group(&mut self, op: &ReduceOp, pids: &[usize]) -> Result<(), InterpError> {
-        let p = self.p();
         let (leader, members) = (pids[0], &pids[1..]);
         let depth = self.loop_env.len();
         let vars: Vec<VarId> = std::iter::once(op.acc).chain(op.loc).collect();
-        let bytes = |v: VarId| p.vars.info(v).ty.byte_size() as u64;
         for &q in members {
             for &v in &vars {
-                self.send_elem(Tag::Reduce(depth), q, leader, Slot::Scalar(v), bytes(v));
+                self.send_elem(Tag::Reduce(depth), q, leader, Slot::Scalar(v));
             }
             let has_loc = op.loc.is_some();
             let tag = Tag::Reduce(depth);
@@ -695,7 +673,7 @@ impl<'s> SpmdExec<'s> {
         for &q in members {
             for &v in &vars {
                 let (slot, tag) = (Slot::Scalar(v), Tag::Broadcast(depth));
-                self.send_elem(tag, leader, q, slot, bytes(v));
+                self.send_elem(tag, leader, q, slot);
                 self.record(q, Event::Recv { from: leader, slot, tag });
             }
         }

@@ -23,8 +23,9 @@
 //! * [`combine`] — global message combining across loop nests (the
 //!   optimization the paper reports phpf lacked);
 //! * [`metrics`] — wire-level communication observability (per-processor,
-//!   per-pattern and per-operation message/byte counters), identical
-//!   whether recorded by the executor or by the replay runtime;
+//!   per-pattern and per-operation message/byte counters), derived from
+//!   the recorded event trace by one mapping, so the executor and the
+//!   replay runtime count identically;
 //! * [`crosscheck`] — validation that observed wire messages agree with
 //!   the cost model's predictions.
 

@@ -1,7 +1,13 @@
 //! Communication observability: per-processor, per-pattern and
-//! per-operation message accounting, shared by the reference executor
-//! ([`crate::exec::SpmdExec`]) and the threaded replay runtime
-//! ([`crate::runtime::replay`]).
+//! per-operation message accounting.
+//!
+//! The recorded [`Event`] trace is the only record of a message; these
+//! counters are derived from it through [`CommMetrics::book`]. The
+//! reference executor ([`crate::exec::SpmdExec`]) books each message as it
+//! builds its event — a per-element `Send` at once, a coalesced `SendVec`
+//! when its group closes — and a replay rank's counters are the fold of
+//! its event list ([`CommMetrics::of_events`]). Only `max_in_flight` and
+//! the recovery counters are measured rather than derived.
 //!
 //! A *message* here is one wire transfer: a vectorized (coalesced) section
 //! counts once however many elements it carries, while per-element traffic
@@ -9,6 +15,8 @@
 //! comparable to the cost model's direct-wire message predictions
 //! ([`crate::costsim`], checked by [`crate::crosscheck`]).
 
+use crate::exec::Event;
+use crate::lower::SpmdProgram;
 use std::collections::BTreeMap;
 
 /// Pattern key for reduction combine traffic (not a placed `CommOp`).
@@ -87,8 +95,7 @@ pub struct CommMetrics {
     pub untracked_messages: u64,
     /// Peak number of simultaneously in-flight messages. The executor
     /// reports its peak count of open coalescing groups (messages under
-    /// assembly); the threaded runtime reports real sent-but-not-received
-    /// messages across all channels.
+    /// assembly); a replay reports its transports' measured peaks.
     pub max_in_flight: u64,
     /// Self-healing overhead: retransmissions, heartbeat misses, respawns
     /// and backend fallbacks (all zero on a fault-free run).
@@ -117,15 +124,15 @@ impl CommMetrics {
         self.per_proc.iter().map(|p| p.sent_bytes).sum()
     }
 
-    /// Record one new message from `src` to `dst` carrying `bytes` payload
-    /// so far (0 for a coalesced message opened empty; grow it with
-    /// [`CommMetrics::note_payload`]).
+    /// Book one finished wire message from `src` to `dst` carrying `elems`
+    /// elements in `bytes` payload bytes.
     pub fn note_message(
         &mut self,
         pattern: &'static str,
         op: Option<usize>,
         src: usize,
         dst: usize,
+        elems: u64,
         bytes: u64,
     ) {
         self.per_proc[src].sent_messages += 1;
@@ -139,9 +146,7 @@ impl CommMetrics {
             Some(i) => {
                 self.per_op[i].messages += 1;
                 self.per_op[i].bytes += bytes;
-                if bytes > 0 {
-                    self.per_op[i].elements += 1;
-                }
+                self.per_op[i].elements += elems;
             }
             None => {
                 if pattern == UNTRACKED {
@@ -151,21 +156,33 @@ impl CommMetrics {
         }
     }
 
-    /// Add one element of `bytes` payload to an already-open coalesced
-    /// message from `src` to `dst` (message counters unchanged).
-    pub fn note_payload(
-        &mut self,
-        pattern: &'static str,
-        op: usize,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-    ) {
-        self.per_proc[src].sent_bytes += bytes;
-        self.per_proc[dst].recv_bytes += bytes;
-        self.per_pattern.entry(pattern).or_default().bytes += bytes;
-        self.per_op[op].bytes += bytes;
-        self.per_op[op].elements += 1;
+    /// Book the wire message that rank `from`'s event `ev` sends, if it
+    /// sends one — the one mapping from a recorded [`Event`] to these
+    /// counters. Receives are booked by their matching send.
+    pub fn book(&mut self, sp: &SpmdProgram, from: usize, ev: &Event) {
+        let p = &sp.program;
+        match ev {
+            Event::Send { to, slot, tag } => {
+                let (pattern, ..) = tag.booking(sp);
+                self.note_message(pattern, tag.op(), from, *to, 1, slot.bytes(p));
+            }
+            Event::SendVec { to, op, slots } => {
+                let bytes = slots.iter().map(|s| s.bytes(p)).sum();
+                let pattern = sp.comms[*op].pattern.name();
+                let elems = slots.len() as u64;
+                self.note_message(pattern, Some(*op), from, *to, elems, bytes);
+            }
+            _ => {}
+        }
+    }
+
+    /// The traffic of rank `from`'s recorded events on `nproc` processors.
+    pub fn of_events(sp: &SpmdProgram, nproc: usize, from: usize, events: &[Event]) -> Self {
+        let mut m = CommMetrics::new(nproc, sp.comms.len());
+        for ev in events {
+            m.book(sp, from, ev);
+        }
+        m
     }
 
     /// Record an observed in-flight message count (keeps the peak).
@@ -264,12 +281,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn message_and_payload_accounting() {
+    fn message_accounting() {
         let mut m = CommMetrics::new(4, 2);
-        m.note_message("shift", Some(0), 1, 0, 0);
-        m.note_payload("shift", 0, 1, 0, 8);
-        m.note_payload("shift", 0, 1, 0, 8);
-        m.note_message("broadcast", Some(1), 2, 3, 8);
+        m.note_message("shift", Some(0), 1, 0, 2, 16);
+        m.note_message("broadcast", Some(1), 2, 3, 1, 8);
         assert_eq!(m.messages(), 2);
         assert_eq!(m.bytes(), 24);
         assert_eq!(m.per_op[0].messages, 1);
@@ -286,8 +301,8 @@ mod tests {
     #[test]
     fn untracked_counted_only_for_untracked_pattern() {
         let mut m = CommMetrics::new(2, 0);
-        m.note_message(UNTRACKED, None, 0, 1, 8);
-        m.note_message(REDUCE, None, 1, 0, 8);
+        m.note_message(UNTRACKED, None, 0, 1, 1, 8);
+        m.note_message(REDUCE, None, 1, 0, 1, 8);
         assert_eq!(m.untracked_messages, 1);
         assert_eq!(m.messages(), 2);
     }
@@ -295,10 +310,10 @@ mod tests {
     #[test]
     fn merge_folds_and_keeps_peak() {
         let mut a = CommMetrics::new(2, 1);
-        a.note_message("shift", Some(0), 0, 1, 8);
+        a.note_message("shift", Some(0), 0, 1, 1, 8);
         a.saw_in_flight(3);
         let mut b = CommMetrics::new(2, 1);
-        b.note_message("shift", Some(0), 1, 0, 4);
+        b.note_message("shift", Some(0), 1, 0, 1, 4);
         b.saw_in_flight(7);
         a.merge(&b);
         assert_eq!(a.messages(), 2);
@@ -310,7 +325,7 @@ mod tests {
     #[test]
     fn json_shape() {
         let mut m = CommMetrics::new(1, 1);
-        m.note_message("shift", Some(0), 0, 0, 8);
+        m.note_message("shift", Some(0), 0, 0, 1, 8);
         let j = m.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'), "{}", j);
         assert!(j.contains("\"per_pattern\":{\"shift\""), "{}", j);

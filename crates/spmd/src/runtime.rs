@@ -9,9 +9,13 @@
 //! [`Memory`], evaluates its assignments purely locally — with the
 //! sequential interpreter's evaluator ([`hpf_ir::interp::assign`]) over
 //! that memory — and obtains every remote operand through an actual
-//! message. Each message is booked under the [`crate::exec::Tag`] the
-//! executor recorded with it, so the replay's [`CommMetrics`] and comm
-//! timelines equal the executor's.
+//! message. The replay keeps no traffic counters of its own: a rank that
+//! completes has sent and received exactly its event list (any missing,
+//! misshapen or short message fails it), so its [`CommMetrics`] are the
+//! fold of those events ([`CommMetrics::of_events`]) plus the transport's
+//! measured in-flight peak, and its comm timeline records each event
+//! through the executor's own mapping ([`crate::exec::comm_bodies`]),
+//! stamped with the link's wire sequence number on sends.
 //!
 //! The replay revalidates the schedule end-to-end — if the compiler had
 //! failed to move a value that a processor needs, the worker would compute
@@ -24,13 +28,13 @@
 //! multi-process driver in `hpf-compile::netrun` runs the same function in
 //! separate OS processes over socket links.
 
-use crate::exec::{comm_body, fold_partial, Event, Slot, SpmdExec, Tag, Trace};
+use crate::exec::{comm_bodies, fold_partial, Event, Slot, SpmdExec, Trace};
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
 use hpf_ir::interp::{self, InterpError, Memory};
 use hpf_ir::{Program, Stmt, Value, VarId};
 use hpf_net::{channel_group, Transport, WireMsg};
-use hpf_obs::{BufTracer, CommKind};
+use hpf_obs::BufTracer;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -61,10 +65,11 @@ pub struct Replayed {
 
 /// Replay one rank's recorded event list over a transport, mutating the
 /// rank's (already initialised) memory in place. Returns this rank's
-/// stats and its unmerged metrics contribution (the transport's in-flight
-/// peak already folded in), and tears the transport down. This is the
-/// shared engine of the threaded replay below and the per-process workers
-/// of the socket backend.
+/// stats and, once the replay succeeded, its unmerged metrics
+/// contribution — the fold of its events, with the transport's in-flight
+/// peak — and tears the transport down. This is the engine of the threaded
+/// replay below; the socket backend's workers run it epoch by epoch
+/// ([`replay_rank_segment`]).
 pub fn replay_rank<T: Transport>(
     sp: &SpmdProgram,
     events: &[Event],
@@ -88,20 +93,10 @@ pub fn replay_rank_traced<T: Transport>(
     mut obs: Option<&mut BufTracer>,
 ) -> Result<(ReplayStats, CommMetrics), String> {
     let pid = transport.rank();
-    let nproc = transport.nproc();
     let mut stats = ReplayStats::default();
-    let mut metrics = CommMetrics::new(nproc, sp.comms.len());
-    let mut err = replay_rank_segment(
-        sp,
-        events,
-        mem,
-        transport,
-        &mut stats,
-        &mut metrics,
-        obs.as_deref_mut(),
-        |_| {},
-    )
-    .err();
+    let mut err =
+        replay_rank_segment(sp, events, mem, transport, &mut stats, obs.as_deref_mut(), |_| {})
+            .err();
     if err.is_none() {
         if let Err(e) = transport.finish() {
             err = Some(format!("proc {}: teardown: {}", pid, e));
@@ -113,45 +108,39 @@ pub fn replay_rank_traced<T: Transport>(
     if let Some(e) = err {
         return Err(e);
     }
+    let mut metrics = CommMetrics::of_events(sp, transport.nproc(), pid, events);
     metrics.saw_in_flight(transport.peak_in_flight());
     Ok((stats, metrics))
 }
 
 /// Replay a *segment* of a rank's event list — the epoch-sized unit of
-/// [`crate::exec::SpmdExec::epoch_cuts`] — accumulating stats and metrics
-/// across calls. Unlike [`replay_rank_traced`] this neither tears the
-/// transport down nor folds in its in-flight peak, so a supervised worker
-/// can run epoch after epoch over one mesh (checkpointing between them)
-/// and finish only once. `tick` runs after every replayed event; the fault
-/// plan's kill trigger hangs off it.
+/// [`crate::exec::SpmdExec::epoch_cuts`] — accumulating stats across
+/// calls. Unlike [`replay_rank_traced`] this neither tears the transport
+/// down nor books any traffic, so a supervised worker can run epoch after
+/// epoch over one mesh (checkpointing between them) and finish only once.
+/// `tick` runs after every replayed event; the fault plan's kill trigger
+/// hangs off it.
 ///
 /// Segments must start at epoch cuts: the worker's reduction stack is
 /// empty there (a `RecvPartial` batch and its `Combine` always share an
 /// epoch), so a fresh internal worker per segment is sound.
-#[allow(clippy::too_many_arguments)]
 pub fn replay_rank_segment<T: Transport>(
     sp: &SpmdProgram,
     events: &[Event],
     mem: &mut Memory,
     transport: &mut T,
     stats: &mut ReplayStats,
-    metrics: &mut CommMetrics,
     mut obs: Option<&mut BufTracer>,
     mut tick: impl FnMut(u64),
 ) -> Result<(), String> {
     let pid = transport.rank();
-    let nproc = transport.nproc();
     let mut worker = RankWorker {
-        sp,
         program: &sp.program,
-        pid,
         mem,
         transport,
         stack: Vec::new(),
         last_vec: None,
-        stats: ReplayStats::default(),
-        metrics: CommMetrics::new(nproc, sp.comms.len()),
-        obs: obs.as_deref_mut(),
+        stats,
     };
     let mut err = None;
     for (i, ev) in events.iter().enumerate() {
@@ -159,11 +148,12 @@ pub fn replay_rank_segment<T: Transport>(
             err = Some(format!("proc {}: {}", pid, e));
             break;
         }
+        if let Some(o) = obs.as_deref_mut() {
+            let seq = ev.send_to().and_then(|to| worker.transport.link_seq(to));
+            comm_bodies(sp, pid, ev, seq, |b| o.push(b));
+        }
         tick(i as u64);
     }
-    stats.messages_sent += worker.stats.messages_sent;
-    stats.events += worker.stats.events;
-    metrics.merge(&worker.metrics);
     if let Some(o) = obs {
         o.absorb(transport.take_fault_events());
     }
@@ -243,9 +233,7 @@ pub fn replay_traced(
 type VecMemo<'a> = (usize, &'a [Slot], Arc<Vec<Value>>);
 
 struct RankWorker<'a, T: Transport> {
-    sp: &'a SpmdProgram,
     program: &'a Program,
-    pid: usize,
     mem: &'a mut Memory,
     transport: &'a mut T,
     /// Stack of received reduction partials `(acc, loc)`.
@@ -256,29 +244,11 @@ struct RankWorker<'a, T: Transport> {
     /// values per destination. Invalidated by any event that mutates
     /// local memory.
     last_vec: Option<VecMemo<'a>>,
-    stats: ReplayStats,
-    metrics: CommMetrics,
-    /// Observability timeline of this rank (owned by the caller).
-    obs: Option<&'a mut BufTracer>,
+    /// The caller's running totals.
+    stats: &'a mut ReplayStats,
 }
 
 impl<'a, T: Transport> RankWorker<'a, T> {
-    /// Record one comm event of kind `kind`, booked under `tag`, on this
-    /// rank's timeline. Sends carry the link's wire sequence number (socket
-    /// backend); receive-side numbers would race the reader thread, so they
-    /// stay `None`.
-    fn obs_comm(
-        &mut self,
-        kind: CommKind,
-        (from, to): (usize, usize),
-        tag: Tag,
-        elems: u64,
-        seq: Option<u64>,
-    ) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.push(comm_body(self.sp, kind, (from, to), tag, elems, seq));
-        }
-    }
     /// Send one wire message.
     fn send_msg(&mut self, to: usize, msg: &WireMsg) -> Result<(), String> {
         self.transport.send(to, msg).map_err(|e| e.to_string())?;
@@ -297,33 +267,18 @@ impl<'a, T: Transport> RankWorker<'a, T> {
         }
     }
 
-    fn slot_bytes(&self, slot: Slot) -> u64 {
-        let v = match slot {
-            Slot::Scalar(v) => v,
-            Slot::Elem(v, _) => v,
-        };
-        self.program.vars.info(v).ty.byte_size() as u64
-    }
-
     fn step(&mut self, ev: &'a Event) -> Result<(), String> {
         self.stats.events += 1;
         match ev {
-            Event::Send { to, slot, tag } => {
+            Event::Send { to, slot, .. } => {
                 let v = self.load(*slot);
-                let bytes = self.slot_bytes(*slot);
                 self.send_msg(*to, &WireMsg::One(v))
                     .map_err(|e| format!("element send to {}: {}", to, e))?;
-                let (pattern, ..) = tag.booking(self.sp);
-                self.metrics
-                    .note_message(pattern, tag.op(), self.pid, *to, bytes);
-                let seq = self.transport.link_seq(*to);
-                self.obs_comm(tag.kinds().0, (self.pid, *to), *tag, 1, seq);
             }
-            Event::Recv { from, slot, tag } => {
+            Event::Recv { from, slot, .. } => {
                 let v = self
                     .recv_one(*from)
                     .map_err(|e| format!("element recv from {}: {}", from, e))?;
-                self.obs_comm(tag.kinds().1, (*from, self.pid), *tag, 1, None);
                 self.last_vec = None;
                 self.store_slot(*slot, v).map_err(|e| e.to_string())?;
             }
@@ -339,18 +294,8 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                         buf
                     }
                 };
-                let pattern = self.sp.comms[*op].pattern.name();
-                self.metrics
-                    .note_message(pattern, Some(*op), self.pid, *to, 0);
-                for &s in slots {
-                    let b = self.slot_bytes(s);
-                    self.metrics.note_payload(pattern, *op, self.pid, *to, b);
-                }
                 self.send_msg(*to, &WireMsg::Many(vals))
                     .map_err(|e| format!("section send (op {}) to {}: {}", op, to, e))?;
-                let seq = self.transport.link_seq(*to);
-                let n = slots.len() as u64;
-                self.obs_comm(CommKind::SendVec, (self.pid, *to), Tag::Op(*op), n, seq);
             }
             Event::RecvVec { from, op, slots } => {
                 let vals = match self
@@ -369,8 +314,6 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                         slots.len()
                     ));
                 }
-                let n = slots.len() as u64;
-                self.obs_comm(CommKind::RecvVec, (*from, self.pid), Tag::Op(*op), n, None);
                 self.last_vec = None;
                 for (&s, &v) in slots.iter().zip(vals.iter()) {
                     self.store_slot(s, v).map_err(|e| e.to_string())?;
@@ -405,17 +348,13 @@ impl<'a, T: Transport> RankWorker<'a, T> {
                     }
                 }
             }
-            Event::RecvPartial { from, has_loc, tag } => {
+            Event::RecvPartial { from, has_loc, .. } => {
                 let acc = self
                     .recv_one(*from)
                     .map_err(|e| format!("reduction partial from {}: {}", from, e))?;
-                self.obs_comm(tag.kinds().1, (*from, self.pid), *tag, 1, None);
                 let loc = if *has_loc {
-                    let l = self
-                        .recv_one(*from)
-                        .map_err(|e| format!("reduction location from {}: {}", from, e))?;
-                    self.obs_comm(tag.kinds().1, (*from, self.pid), *tag, 1, None);
-                    Some(l)
+                    let l = self.recv_one(*from);
+                    Some(l.map_err(|e| format!("reduction location from {}: {}", from, e))?)
                 } else {
                     None
                 };

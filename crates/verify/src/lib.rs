@@ -158,7 +158,7 @@ END DO
     #[test]
     fn figure1_recorded_trace_is_a_linearization() {
         let sp = pipeline(FIG1, CoreConfig::full());
-        let mut exec = SpmdExec::new(&sp, init).with_obs();
+        let mut exec = SpmdExec::new(&sp, init).with_trace();
         exec.run().unwrap();
         let recorded = exec.take_obs().unwrap();
         let report = verify_recorded_trace(&sp, &recorded, init);
@@ -168,7 +168,7 @@ END DO
     #[test]
     fn swapped_comm_events_are_rejected() {
         let sp = pipeline(FIG1, CoreConfig::full());
-        let mut exec = SpmdExec::new(&sp, init).with_obs();
+        let mut exec = SpmdExec::new(&sp, init).with_trace();
         exec.run().unwrap();
         let mut recorded = exec.take_obs().unwrap();
         // Swap the first two adjacent, distinct comm events of one rank:

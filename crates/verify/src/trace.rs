@@ -91,7 +91,7 @@ pub fn verify_recorded_trace(
     init: impl Fn(&mut Memory),
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let mut exec = SpmdExec::new(sp, init).with_obs();
+    let mut exec = SpmdExec::new(sp, init).with_trace();
     if let Err(e) = exec.run() {
         out.push(Diagnostic::error(
             "T300",
@@ -99,7 +99,7 @@ pub fn verify_recorded_trace(
         ));
         return out;
     }
-    let expected = exec.take_obs().expect("with_obs records a trace");
+    let expected = exec.take_obs().expect("with_trace records a trace");
 
     let faults = recorded.fault_names();
     if !faults.is_empty() {

@@ -37,24 +37,29 @@ for example in tomcatv_small dgefa_small appsp_small; do
     }
 done
 
-echo "==> trace cross-validation (golden trace through --verify-trace)"
+echo "==> trace cross-validation (reference-executor traces through --verify-trace)"
+# The reference executor's timelines are derived from its recorded event
+# trace; DGEFA and APPSP add per-element control traffic and reduction
+# partials (two timeline entries per MAXLOC partial) to TOMCATV's halos.
 goldtrace=$(mktemp -t phpfc-golden.XXXXXX)
 trap 'rm -f "$goldtrace"' EXIT
-./target/release/phpfc examples/hpf/tomcatv_small.hpf --trace "$goldtrace" >/dev/null
-set +e
-out=$(./target/release/phpfc examples/hpf/tomcatv_small.hpf --verify-trace "$goldtrace" 2>&1)
-status=$?
-set -e
-if [ "$status" -ne 0 ]; then
-    echo "FAIL: --verify-trace rejected the golden trace it just recorded" >&2
-    echo "$out" >&2
-    exit "$status"
-fi
-echo "$out" | grep -q 'linearization of the static happens-before relation' || {
-    echo "FAIL: --verify-trace printed no linearization verdict" >&2
-    echo "$out" >&2
-    exit 1
-}
+for example in tomcatv_small dgefa_small appsp_small; do
+    ./target/release/phpfc "examples/hpf/$example.hpf" --trace "$goldtrace" >/dev/null
+    set +e
+    out=$(./target/release/phpfc "examples/hpf/$example.hpf" --verify-trace "$goldtrace" 2>&1)
+    status=$?
+    set -e
+    if [ "$status" -ne 0 ]; then
+        echo "FAIL: --verify-trace rejected the $example trace it just recorded" >&2
+        echo "$out" >&2
+        exit "$status"
+    fi
+    echo "$out" | grep -q 'linearization of the static happens-before relation' || {
+        echo "FAIL: $example --verify-trace printed no linearization verdict" >&2
+        echo "$out" >&2
+        exit 1
+    }
+done
 
 echo "==> trace round trip (DGEFA small, thread and socket backends, --trace then --verify-trace)"
 # DGEFA's per-element control and reduction traffic must be booked by the
@@ -239,8 +244,9 @@ echo "$clean" | grep -q '"recovery":{"retransmits":0,"heartbeat_misses":0,"respa
     echo "$clean" >&2
     exit 1
 }
-# A healed run reports the clean run's logical traffic: respawned ranks
-# resume their counters from the checkpoint along with their memory.
+# A healed run reports the clean run's logical traffic: the counters are
+# derived from the recorded schedule, which a respawn does not change, and
+# the driver checks them against the wire messages the workers sent.
 faulted_msgs=$(echo "$bench" | sed -n 's/.*"metrics":{"messages":\([0-9]*\).*/\1/p')
 clean_msgs=$(echo "$clean" | sed -n 's/.*"metrics":{"messages":\([0-9]*\).*/\1/p')
 if [ -z "$faulted_msgs" ] || [ "$faulted_msgs" != "$clean_msgs" ]; then

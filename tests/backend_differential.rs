@@ -224,10 +224,11 @@ fn golden_trace_appsp_small() {
 }
 
 /// The threaded replay books exactly what the reference executor books —
-/// per processor, per pattern and per operation, in both replay modes.
-/// Per-element `Send`/`Recv` events carry the executor's attribution, and
-/// sharing a vectorized payload buffer between destinations is invisible
-/// to the meters.
+/// per processor, per pattern and per operation, in both replay modes —
+/// and the comm timeline the executor derives from its recorded trace is
+/// the one the replay records, rank by rank. Per-element `Send`/`Recv`
+/// events carry the executor's attribution, and sharing a vectorized
+/// payload buffer between destinations is invisible to the meters.
 #[test]
 fn arc_payloads_leave_recorded_bytes_unchanged() {
     let kernels = [
@@ -254,8 +255,21 @@ fn arc_payloads_leave_recorded_bytes_unchanged() {
                 exec = exec.without_vectorization();
             }
             exec.run().unwrap();
-            let replayed = validate_replay_opts(&compiled.spmd, &init, vectorize).unwrap();
+            let replayed =
+                validate_replay_traced(&compiled.spmd, &init, vectorize, true).unwrap();
             assert_traffic_identical(name, vectorize, &exec.metrics, &replayed.metrics);
+
+            let mode = if vectorize { "vectorized" } else { "per-element" };
+            let derived = exec.take_obs().expect("traced executor");
+            let recorded = replayed.obs.expect("trace requested");
+            assert_eq!(derived.nranks(), recorded.nranks(), "{name} ({mode}): rank counts");
+            for r in 0..derived.nranks() {
+                assert_eq!(
+                    derived.comm_signature(r),
+                    recorded.comm_signature(r),
+                    "{name} ({mode}): rank {r} executor timeline diverges from the replay's"
+                );
+            }
         }
     }
 }

@@ -130,7 +130,7 @@ proptest! {
             m.fill_real(b, &bd);
             m.fill_real(cc, &cd);
         })
-        .with_obs();
+        .with_trace();
         exec.run().unwrap();
         let metrics = exec.metrics.clone();
         let trace = exec.take_obs().unwrap();

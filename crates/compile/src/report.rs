@@ -21,7 +21,7 @@ pub fn render(c: &Compiled) -> String {
     out.push_str(&c.spmd.decisions.report(p));
 
     let _ = writeln!(out, "== guards ==");
-    let mut ids: Vec<_> = c.spmd.guards.keys().copied().collect();
+    let mut ids = p.preorder();
     ids.sort();
     for s in ids {
         if !p.stmt(s).is_assign() {
@@ -79,7 +79,7 @@ pub fn render(c: &Compiled) -> String {
     let _ = writeln!(out, "== local iteration sets (loop-bound shrinking) ==");
     let a = Analysis::run(p);
     let mut shown = 0;
-    let mut ids: Vec<_> = c.spmd.guards.keys().copied().collect();
+    let mut ids = p.preorder();
     ids.sort();
     for s in ids {
         let Guard::OwnerOf { r, free_dims } = c.spmd.guard(s) else {

@@ -50,6 +50,14 @@ impl ProcGrid {
         c
     }
 
+    /// Coordinate of linear processor id `pid` along grid dimension `d`:
+    /// `coords_of(pid)[d]`, without building the vector.
+    pub fn coord(&self, pid: usize, d: usize) -> usize {
+        debug_assert!(pid < self.total());
+        let inner: usize = self.dims[d + 1..].iter().product();
+        pid / inner % self.dims[d]
+    }
+
     /// Linear id of a coordinate vector.
     pub fn pid_of(&self, coords: &[usize]) -> usize {
         debug_assert_eq!(coords.len(), self.dims.len());
@@ -69,7 +77,7 @@ impl ProcGrid {
     /// All pids whose coordinate along `dim` equals `coord`.
     pub fn pids_with_coord(&self, dim: usize, coord: usize) -> Vec<usize> {
         self.pids()
-            .filter(|&p| self.coords_of(p)[dim] == coord)
+            .filter(|&p| self.coord(p, dim) == coord)
             .collect()
     }
 }

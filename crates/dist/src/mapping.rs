@@ -68,13 +68,16 @@ impl OwnerSet {
     }
 
     pub fn contains_pid(&self, grid: &ProcGrid, pid: usize) -> bool {
-        self.contains(&grid.coords_of(pid))
+        self.per_dim.iter().enumerate().all(|(d, g)| match g {
+            GridCoord::At(x) => *x == grid.coord(pid, d),
+            GridCoord::Any => true,
+        })
     }
 
     /// All pids in the set.
     pub fn pids(&self, grid: &ProcGrid) -> Vec<usize> {
         grid.pids()
-            .filter(|&p| self.contains(&grid.coords_of(p)))
+            .filter(|&p| self.contains_pid(grid, p))
             .collect()
     }
 
@@ -205,13 +208,41 @@ impl ArrayMapping {
             .collect();
         OwnerSet { per_dim }
     }
+
+    /// The pid `reader` reads element `idx` from: the owner's coordinate
+    /// on every pinned grid dimension and the reader's own coordinate on
+    /// replicated and privatized ones. Equal to resolving
+    /// [`ArrayMapping::owner_on`] against the reader, without building the
+    /// owner set.
+    pub fn owner_pid(&self, grid: &ProcGrid, idx: &[i64], reader: usize) -> usize {
+        self.rules.iter().enumerate().fold(0, |pid, (g, r)| {
+            let c = match r {
+                GridDimRule::ByDim {
+                    array_dim,
+                    dist,
+                    stride,
+                    offset,
+                    t_lo,
+                    t_extent,
+                } => {
+                    let pos0 = stride * idx[*array_dim] + offset - t_lo;
+                    dist_owner(*dist, pos0, *t_extent, grid.extent(g))
+                }
+                GridDimRule::Fixed(c) => *c,
+                GridDimRule::Replicated | GridDimRule::Private => grid.coord(reader, g),
+            };
+            debug_assert!(c < grid.extent(g));
+            pid * grid.extent(g) + c
+        })
+    }
 }
 
 /// All array mappings of a program on a given grid.
 #[derive(Debug, Clone)]
 pub struct MappingTable {
     pub grid: ProcGrid,
-    by_array: HashMap<VarId, ArrayMapping>,
+    /// Indexed by [`VarId`]; `None` for scalars.
+    by_array: Vec<Option<ArrayMapping>>,
 }
 
 impl MappingTable {
@@ -322,25 +353,37 @@ impl MappingTable {
             let _ = info;
         }
 
-        Ok(MappingTable { grid, by_array })
+        let mut table = MappingTable {
+            grid,
+            by_array: Vec::new(),
+        };
+        for m in by_array.into_values() {
+            table.set(m);
+        }
+        Ok(table)
     }
 
     pub fn of(&self, array: VarId) -> &ArrayMapping {
-        &self.by_array[&array]
+        self.get(array).expect("array has a mapping")
     }
 
     pub fn get(&self, array: VarId) -> Option<&ArrayMapping> {
-        self.by_array.get(&array)
+        self.by_array.get(array.index())?.as_ref()
     }
 
     /// Replace an array's mapping (used by the privatization phase to
     /// install partially/fully privatized mappings).
     pub fn set(&mut self, m: ArrayMapping) {
-        self.by_array.insert(m.array, m);
+        let i = m.array.index();
+        if self.by_array.len() <= i {
+            self.by_array.resize(i + 1, None);
+        }
+        self.by_array[i] = Some(m);
     }
 
+    /// Every mapped array, in [`VarId`] order.
     pub fn arrays(&self) -> impl Iterator<Item = (&VarId, &ArrayMapping)> {
-        self.by_array.iter()
+        self.by_array.iter().flatten().map(|m| (&m.array, m))
     }
 }
 

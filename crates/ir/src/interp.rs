@@ -11,7 +11,11 @@
 use crate::expr::{ArrayRef, BinOp, Expr, Intrinsic, UnOp};
 use crate::program::{Program, VarId};
 use crate::stmt::{LValue, Label, Stmt, StmtId};
-use crate::types::{ScalarTy, VarKind};
+use crate::types::{ScalarTy, VarKind, MAX_RANK};
+
+/// The largest [`Intrinsic::arity`]: intrinsic arguments are evaluated
+/// into a fixed buffer of this size.
+const MAX_ARITY: usize = 2;
 
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,6 +188,13 @@ pub enum InterpError {
         index: Vec<i64>,
     },
     DivisionByZero,
+    /// A reference with more subscripts than [`MAX_RANK`] (possible only
+    /// in a program built through the builder API; the parser rejects such
+    /// declarations).
+    RankLimit {
+        array: String,
+        rank: usize,
+    },
     /// Step budget exceeded (guards against runaway GOTO cycles).
     StepLimit,
     UnresolvedGoto(u32),
@@ -197,6 +208,11 @@ impl std::fmt::Display for InterpError {
                 write!(f, "index {:?} out of bounds for {}", index, array)
             }
             InterpError::DivisionByZero => write!(f, "integer division by zero"),
+            InterpError::RankLimit { array, rank } => write!(
+                f,
+                "reference to {} has {} subscripts, above the limit of {}",
+                array, rank, MAX_RANK
+            ),
             InterpError::StepLimit => write!(f, "interpreter step limit exceeded"),
             InterpError::UnresolvedGoto(l) => write!(f, "GOTO {} left the program", l),
         }
@@ -250,8 +266,9 @@ pub fn eval<O: Operands>(p: &Program, e: &Expr, o: &mut O) -> Result<Value, Inte
         Expr::BoolLit(b) => Ok(Value::Bool(*b)),
         Expr::Scalar(v) => o.scalar(*v),
         Expr::Array(r) => {
-            let (idx, off) = subscript(p, r, o)?;
-            o.element(r, &idx, off)
+            let mut idx = [0; MAX_RANK];
+            let off = subscript(p, r, o, &mut idx)?;
+            o.element(r, &idx[..r.subs.len()], off)
         }
         Expr::Unary(op, x) => {
             let v = eval(p, x, o)?;
@@ -270,36 +287,48 @@ pub fn eval<O: Operands>(p: &Program, e: &Expr, o: &mut O) -> Result<Value, Inte
             eval_binop(*op, va, vb)
         }
         Expr::Intrinsic(i, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(p, a, o)?);
+            if args.len() != i.arity() {
+                return Err(InterpError::TypeError(format!(
+                    "{} takes {} argument(s), got {}",
+                    i.name(),
+                    i.arity(),
+                    args.len()
+                )));
             }
-            eval_intrinsic(*i, &vals)
+            let mut vals = [Value::Int(0); MAX_ARITY];
+            for (v, a) in vals.iter_mut().zip(args) {
+                *v = eval(p, a, o)?;
+            }
+            eval_intrinsic(*i, &vals[..args.len()])
         }
     }
 }
 
-/// Evaluate the subscripts of `r`; returns them with their linear offset,
-/// or [`InterpError::OutOfBounds`] naming the array.
+/// Evaluate the subscripts of `r` into `idx` (its first `r.subs.len()`
+/// entries); returns their linear offset, or [`InterpError::OutOfBounds`]
+/// naming the array.
 fn subscript<O: Operands>(
     p: &Program,
     r: &ArrayRef,
     o: &mut O,
-) -> Result<(Vec<i64>, usize), InterpError> {
-    let mut idx = Vec::with_capacity(r.subs.len());
-    for s in &r.subs {
-        idx.push(eval(p, s, o)?.as_int()?);
-    }
+    idx: &mut [i64; MAX_RANK],
+) -> Result<usize, InterpError> {
     let info = p.vars.info(r.array);
-    let shape = info.shape().expect("array ref to scalar");
-    if !shape.contains(&idx) {
-        return Err(InterpError::OutOfBounds {
+    if r.subs.len() > MAX_RANK {
+        return Err(InterpError::RankLimit {
             array: info.name.clone(),
-            index: idx,
+            rank: r.subs.len(),
         });
     }
-    let off = shape.linearize(&idx);
-    Ok((idx, off))
+    for (slot, s) in idx.iter_mut().zip(&r.subs) {
+        *slot = eval(p, s, o)?.as_int()?;
+    }
+    let idx = &idx[..r.subs.len()];
+    let shape = info.shape().expect("array ref to scalar");
+    shape.offset(idx).ok_or_else(|| InterpError::OutOfBounds {
+        array: info.name.clone(),
+        index: idx.to_vec(),
+    })
 }
 
 /// Execute `lhs = rhs`: the rhs is evaluated before the lhs subscripts, and
@@ -318,7 +347,7 @@ pub fn assign<O: Operands>(
             o.dest().set_scalar(*v, val);
         }
         LValue::Array(r) => {
-            let (_, off) = subscript(p, r, o)?;
+            let off = subscript(p, r, o, &mut [0; MAX_RANK])?;
             let val = val.coerce(p.vars.info(r.array).ty)?;
             o.dest().array_mut(r.array).set(off, val)?;
         }

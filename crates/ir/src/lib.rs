@@ -49,4 +49,4 @@ pub use interp::{Interp, Memory, Value};
 pub use parse::parse_program;
 pub use program::{Program, VarId, VarTable};
 pub use stmt::{LValue, Label, Stmt, StmtId, StmtNode};
-pub use types::{ArrayShape, ScalarTy, VarInfo, VarKind};
+pub use types::{ArrayShape, ScalarTy, VarInfo, VarKind, MAX_RANK};

@@ -27,7 +27,7 @@ use crate::directives::{
 use crate::expr::{ArrayRef, BinOp, Expr, Intrinsic, UnOp};
 use crate::program::{Program, VarId};
 use crate::stmt::{LValue, Label, Stmt, StmtId};
-use crate::types::{ArrayShape, ScalarTy, VarInfo};
+use crate::types::{ArrayShape, ScalarTy, VarInfo, MAX_RANK};
 
 /// Most elements one declared array may hold. Every processor's memory
 /// holds a full copy of each array, so this bounds memory per copy. It is
@@ -687,6 +687,14 @@ impl Parser {
                         break;
                     }
                     lp.expect_sym(",")?;
+                }
+                if dims.len() > MAX_RANK {
+                    return lp.err(format!(
+                        "array '{}' has rank {}, above the limit of {}",
+                        name,
+                        dims.len(),
+                        MAX_RANK
+                    ));
                 }
                 let elems = dims.iter().try_fold(1i64, |n, &(lo, hi)| {
                     n.checked_mul(hi.checked_sub(lo)?.checked_add(1)?.max(0))

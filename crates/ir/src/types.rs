@@ -34,6 +34,11 @@ impl ScalarTy {
     }
 }
 
+/// Most dimensions an array may have: the Fortran 90 limit. The parser
+/// rejects a declaration above it, and the evaluator keeps a reference's
+/// subscripts in a fixed buffer of this size.
+pub const MAX_RANK: usize = 7;
+
 /// Declared shape of an array: per-dimension inclusive bounds
 /// `lo(d)..=hi(d)`, Fortran-style (default lower bound 1).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -71,23 +76,26 @@ impl ArrayShape {
     /// Column-major (Fortran) linearization of a global index tuple.
     /// Panics if the index is out of bounds.
     pub fn linearize(&self, idx: &[i64]) -> usize {
-        debug_assert_eq!(idx.len(), self.dims.len());
+        self.offset(idx)
+            .unwrap_or_else(|| panic!("index {:?} out of bounds {:?}", idx, self.dims))
+    }
+
+    /// The column-major offset of `idx`, or `None` if it has the wrong
+    /// rank or lies outside the declared bounds.
+    pub fn offset(&self, idx: &[i64]) -> Option<usize> {
+        if idx.len() != self.dims.len() {
+            return None;
+        }
         let mut off: i64 = 0;
         let mut stride: i64 = 1;
-        for (d, &(lo, hi)) in self.dims.iter().enumerate() {
-            let i = idx[d];
-            assert!(
-                i >= lo && i <= hi,
-                "index {} out of bounds {}..={} in dim {}",
-                i,
-                lo,
-                hi,
-                d
-            );
+        for (&i, &(lo, hi)) in idx.iter().zip(&self.dims) {
+            if i < lo || i > hi {
+                return None;
+            }
             off += (i - lo) * stride;
             stride *= hi - lo + 1;
         }
-        off as usize
+        Some(off as usize)
     }
 
     /// Inverse of [`ArrayShape::linearize`].
@@ -103,11 +111,7 @@ impl ArrayShape {
 
     /// True if `idx` lies within the declared bounds.
     pub fn contains(&self, idx: &[i64]) -> bool {
-        idx.len() == self.dims.len()
-            && idx
-                .iter()
-                .zip(&self.dims)
-                .all(|(&i, &(lo, hi))| i >= lo && i <= hi)
+        self.offset(idx).is_some()
     }
 }
 

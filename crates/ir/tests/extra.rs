@@ -252,3 +252,46 @@ fn oversized_array_declarations_are_rejected_with_their_line() {
     // The paper's largest table-size array is well inside the budget.
     parse_program("REAL RSD(5,64,64,64)\n").unwrap();
 }
+
+#[test]
+fn arrays_above_the_rank_limit_are_rejected_with_their_line() {
+    let src = "INTEGER k\nREAL W(2,2,2,2,2,2,2,2)\n";
+    let e = parse_program(src).unwrap_err();
+    assert_eq!(e.line, 2, "{}", e.msg);
+    assert!(
+        e.msg.contains("'w'") && e.msg.contains("rank 8"),
+        "{}",
+        e.msg
+    );
+    assert!(e.msg.contains(&hpf_ir::MAX_RANK.to_string()), "{}", e.msg);
+    // Rank 7, the Fortran 90 limit, is accepted.
+    parse_program("REAL V(2,2,2,2,2,2,2)\n").unwrap();
+}
+
+#[test]
+fn references_above_the_rank_limit_are_evaluation_errors() {
+    use hpf_ir::interp::InterpError;
+    // The builder API does not go through the parser's rank check.
+    let mut b = ProgramBuilder::new();
+    let w = b.real_array("W", &[2; 8]);
+    let x = b.real_scalar("x");
+    b.assign_scalar(x, Expr::array(w, vec![Expr::int(1); 8]));
+    let p = b.finish();
+    let err = run_program(&p, |_| {}).unwrap_err();
+    assert_eq!(
+        err,
+        InterpError::RankLimit {
+            array: "W".into(),
+            rank: 8
+        }
+    );
+    // A store through such a reference fails the same way.
+    let mut b = ProgramBuilder::new();
+    let w = b.real_array("W", &[2; 9]);
+    b.assign_array(w, vec![Expr::int(1); 9], Expr::real(1.0));
+    let err = run_program(&b.finish(), |_| {}).unwrap_err();
+    assert!(
+        matches!(err, InterpError::RankLimit { rank: 9, .. }),
+        "{err}"
+    );
+}

@@ -20,7 +20,7 @@
 //! directly comparable to the cost model's message predictions (checked
 //! by [`crate::crosscheck`]).
 
-use crate::guard::{resolve_owner_pid, Guard};
+use crate::guard::Guard;
 use crate::lower::{CommData, ReduceOp, SpmdProgram};
 use crate::metrics::CommMetrics;
 use hpf_analysis::RedOp;
@@ -30,6 +30,7 @@ use hpf_ir::{ArrayRef, BinOp, Expr, Intrinsic, Label, Program, Stmt, StmtId, Val
 use hpf_obs::{Body, BufTracer, CommKind};
 use phpf_core::ScalarMapping;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// A storage slot on one processor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,15 +171,9 @@ pub enum Event {
         slots: Vec<Slot>,
     },
     /// Execute an assignment locally (operands are all local by now).
-    Exec {
-        stmt: StmtId,
-        env: Vec<(VarId, i64)>,
-    },
+    Exec { stmt: StmtId, env: LoopEnv },
     /// Evaluate a (maxloc) IF locally and run its body when true.
-    CondExec {
-        stmt: StmtId,
-        env: Vec<(VarId, i64)>,
-    },
+    CondExec { stmt: StmtId, env: LoopEnv },
     /// Receive a reduction partial (acc, then loc if present) onto the
     /// value stack.
     RecvPartial { from: usize, has_loc: bool, tag: Tag },
@@ -203,6 +198,11 @@ impl Event {
 
 /// Per-processor event lists.
 pub type Trace = Vec<Vec<Event>>;
+
+/// The loop-variable bindings (outermost first) an `Exec`/`CondExec`
+/// event runs under. Every statement instance executed between two
+/// changes of a loop variable shares one snapshot.
+pub type LoopEnv = Arc<[(VarId, i64)]>;
 
 /// Message statistics of an execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -257,6 +257,15 @@ pub struct SpmdExec<'s> {
     cuts: Vec<Vec<usize>>,
     /// Current loop-variable bindings (outermost first).
     loop_env: Vec<(VarId, i64)>,
+    /// Shared snapshot of `loop_env` for the trace, taken on first use
+    /// after each change of a loop variable.
+    env_snap: Option<LoopEnv>,
+    /// The executors of the current statement (see `guard_pids`), reused
+    /// from statement to statement.
+    executors: Vec<usize>,
+    /// The current guard's owner set (see `guard_pids`), one entry per grid
+    /// dimension, reused from statement to statement.
+    guard_owner: OwnerSet,
     /// Coalesce hoisted fetches into vectorized messages (default on).
     vectorize: bool,
     /// Statement currently executing — attributes fetches to placed
@@ -282,6 +291,10 @@ impl<'s> SpmdExec<'s> {
             })
             .collect();
         let metrics = CommMetrics::new(grid.total(), sp.comms.len());
+        let executors = Vec::with_capacity(grid.total());
+        let guard_owner = OwnerSet {
+            per_dim: vec![GridCoord::Any; grid.rank()],
+        };
         SpmdExec {
             sp,
             grid,
@@ -293,6 +306,9 @@ impl<'s> SpmdExec<'s> {
             trace: None,
             cuts: Vec::new(),
             loop_env: Vec::new(),
+            env_snap: None,
+            executors,
+            guard_owner,
             vectorize: true,
             cur_stmt: None,
             open: HashMap::new(),
@@ -332,6 +348,15 @@ impl<'s> SpmdExec<'s> {
         if let Some(t) = &mut self.trace {
             t[pid].push(ev);
         }
+    }
+
+    /// The current loop environment as a shared snapshot (taken once per
+    /// change of a loop variable). Only needed when tracing.
+    fn env_snapshot(&mut self) -> LoopEnv {
+        let loop_env = &self.loop_env;
+        self.env_snap
+            .get_or_insert_with(|| loop_env.as_slice().into())
+            .clone()
     }
 
     /// The recorded trace's epoch boundaries (see the `cuts` field). The
@@ -495,12 +520,15 @@ impl<'s> SpmdExec<'s> {
         let sp = self.sp;
         match sp.program.stmt(s) {
             Stmt::Assign { lhs, rhs } => {
-                let executors = self.guard_pids(s)?;
-                self.stats.stmt_execs += executors.len() as u64;
-                for q in executors {
+                self.guard_pids(s)?;
+                self.stats.stmt_execs += self.executors.len() as u64;
+                for i in 0..self.executors.len() {
+                    let q = self.executors[i];
                     interp::assign(&sp.program, lhs, rhs, &mut self.on(q, &[]))?;
-                    let env = self.loop_env.clone();
-                    self.record(q, Event::Exec { stmt: s, env });
+                    if self.trace.is_some() {
+                        let env = self.env_snapshot();
+                        self.record(q, Event::Exec { stmt: s, env });
+                    }
                 }
                 Ok(Flow::Normal)
             }
@@ -528,6 +556,7 @@ impl<'s> SpmdExec<'s> {
                 let mut i = lo;
                 let mut out = Flow::Normal;
                 self.loop_env.push((var, lo));
+                self.env_snap = None;
                 while (st > 0 && i <= hi) || (st < 0 && i >= hi) {
                     // A new iteration at this depth: coalesced messages of
                     // operations placed at this level or deeper are done.
@@ -542,6 +571,7 @@ impl<'s> SpmdExec<'s> {
                         m.set_scalar(var, Value::Int(i));
                     }
                     self.loop_env.last_mut().unwrap().1 = i;
+                    self.env_snap = None;
                     match self.exec_block(body)? {
                         Flow::Normal => {}
                         Flow::Goto(l) => {
@@ -552,6 +582,7 @@ impl<'s> SpmdExec<'s> {
                     i += st;
                 }
                 self.loop_env.pop();
+                self.env_snap = None;
                 for m in &mut self.mems {
                     m.set_scalar(var, Value::Int(i));
                 }
@@ -566,8 +597,8 @@ impl<'s> SpmdExec<'s> {
             } => {
                 // A maxloc reduction IF executes with per-processor partial
                 // state (diverging branches); everything else is uniform.
-                if let ScalarMapping::Reduction { .. } = sp.decisions.scalar(s) {
-                    return self.exec_reduction_if(s, cond, then_body);
+                if let Some(locals) = sp.reduction_if_locals(s) {
+                    return self.exec_reduction_if(s, cond, then_body, locals);
                 }
                 self.ctrl_eval = true;
                 let c = self.eval(cond, 0);
@@ -585,31 +616,26 @@ impl<'s> SpmdExec<'s> {
         }
     }
 
-    /// Maxloc pattern: each partial owner tests and updates its own
-    /// accumulator copy.
+    /// Maxloc pattern: each partial owner tests and updates its own copy of
+    /// `locals`, the accumulator and location variables
+    /// ([`SpmdProgram::reduction_if_locals`]).
     fn exec_reduction_if(
         &mut self,
         s: StmtId,
         cond: &Expr,
         then_body: &[StmtId],
+        locals: &[VarId],
     ) -> Result<Flow, InterpError> {
-        let sp = self.sp;
-        let p = &sp.program;
-        let executors = self.guard_pids(s)?;
-        // Local variables: the accumulator and location variable.
-        let mut locals = Vec::new();
-        if let ScalarMapping::Reduction {
-            loc_var: Some(lv), ..
-        } = sp.decisions.scalar(s)
-        {
-            locals.push(*lv);
-        }
-        locals.extend(then_body.iter().filter_map(|&t| p.stmt(t).written_var()));
-        for q in executors {
-            let env = self.loop_env.clone();
+        let p = &self.sp.program;
+        self.guard_pids(s)?;
+        for i in 0..self.executors.len() {
+            let q = self.executors[i];
             self.cur_stmt = Some(s);
-            let c = interp::eval(p, cond, &mut self.on(q, &locals))?.as_bool()?;
-            self.record(q, Event::CondExec { stmt: s, env });
+            let c = interp::eval(p, cond, &mut self.on(q, locals))?.as_bool()?;
+            if self.trace.is_some() {
+                let env = self.env_snapshot();
+                self.record(q, Event::CondExec { stmt: s, env });
+            }
             if !c {
                 continue;
             }
@@ -617,7 +643,7 @@ impl<'s> SpmdExec<'s> {
             for &t in then_body {
                 if let Stmt::Assign { lhs, rhs } = p.stmt(t) {
                     self.cur_stmt = Some(t);
-                    interp::assign(p, lhs, rhs, &mut self.on(q, &locals))?;
+                    interp::assign(p, lhs, rhs, &mut self.on(q, locals))?;
                 }
             }
         }
@@ -626,20 +652,10 @@ impl<'s> SpmdExec<'s> {
 
     fn run_reduces(&mut self, l: StmtId) -> Result<(), InterpError> {
         let sp = self.sp;
+        // An op without reduce dims has no groups: it is already complete
+        // on the single owner.
         for op in sp.reduces.iter().filter(|r| r.loop_id == l) {
-            if op.reduce_dims.is_empty() {
-                continue; // already complete on the single owner
-            }
-            // Group pids by coordinates outside the reduce dims.
-            let mut groups: HashMap<Vec<usize>, Vec<usize>> = HashMap::new();
-            for pid in self.grid.pids() {
-                let mut key = self.grid.coords_of(pid);
-                for &g in &op.reduce_dims {
-                    key[g] = usize::MAX;
-                }
-                groups.entry(key).or_default().push(pid);
-            }
-            for pids in groups.values() {
+            for pids in &op.groups {
                 self.combine_group(op, pids)?;
             }
         }
@@ -652,9 +668,9 @@ impl<'s> SpmdExec<'s> {
     fn combine_group(&mut self, op: &ReduceOp, pids: &[usize]) -> Result<(), InterpError> {
         let (leader, members) = (pids[0], &pids[1..]);
         let depth = self.loop_env.len();
-        let vars: Vec<VarId> = std::iter::once(op.acc).chain(op.loc).collect();
+        let vars = || std::iter::once(op.acc).chain(op.loc);
         for &q in members {
-            for &v in &vars {
+            for v in vars() {
                 self.send_elem(Tag::Reduce(depth), q, leader, Slot::Scalar(v));
             }
             let has_loc = op.loc.is_some();
@@ -671,7 +687,7 @@ impl<'s> SpmdExec<'s> {
             },
         );
         for &q in members {
-            for &v in &vars {
+            for v in vars() {
                 let (slot, tag) = (Slot::Scalar(v), Tag::Broadcast(depth));
                 self.send_elem(tag, leader, q, slot);
                 self.record(q, Event::Recv { from: leader, slot, tag });
@@ -692,57 +708,63 @@ impl<'s> SpmdExec<'s> {
         Ok(())
     }
 
-    /// The pids executing statement `s` under its guard.
-    fn guard_pids(&mut self, s: StmtId) -> Result<Vec<usize>, InterpError> {
-        let sp = self.sp;
-        match sp.guard(s) {
-            Guard::Everyone | Guard::Union => Ok(self.grid.pids().collect()),
+    /// Fill `executors` with the pids executing statement `s` under its
+    /// guard.
+    fn guard_pids(&mut self, s: StmtId) -> Result<(), InterpError> {
+        self.executors.clear();
+        match self.sp.guard(s) {
+            Guard::Everyone | Guard::Union => self.executors.extend(self.grid.pids()),
             Guard::OwnerOf { r, free_dims } => {
-                let own = self.eval_owner(r, free_dims, 0)?;
-                Ok(own.pids(&self.grid))
+                let rules = &self.sp.maps.of(r.array).rules;
+                for (g, rule) in rules.iter().enumerate() {
+                    let c = self.owner_coord(r, g, rule, free_dims, 0)?;
+                    self.guard_owner.per_dim[g] = c;
+                }
+                let (grid, own) = (&self.grid, &self.guard_owner);
+                self.executors
+                    .extend(grid.pids().filter(|&q| own.contains_pid(grid, q)));
             }
         }
+        Ok(())
     }
 
-    /// Owner set of a reference, evaluating only the subscripts of pinned
-    /// grid dimensions (free/replicated/private dims stay `Any`).
-    fn eval_owner(
+    /// The owner coordinate of reference `r` along grid dimension `g`
+    /// (whose rule is `rule`), evaluating the subscript it depends on for
+    /// processor `reader`. Free, replicated and private dimensions are
+    /// `Any`.
+    fn owner_coord(
         &mut self,
         r: &ArrayRef,
+        g: usize,
+        rule: &GridDimRule,
         free_dims: &[usize],
         reader: usize,
-    ) -> Result<OwnerSet, InterpError> {
-        let rules = &self.sp.maps.of(r.array).rules;
-        let mut per_dim = Vec::with_capacity(rules.len());
-        for (g, rule) in rules.iter().enumerate() {
-            if free_dims.contains(&g) {
-                per_dim.push(GridCoord::Any);
-                continue;
-            }
-            per_dim.push(match rule {
-                GridDimRule::ByDim {
-                    array_dim,
-                    dist,
-                    stride,
-                    offset,
-                    t_lo,
-                    t_extent,
-                } => {
-                    let sub = self.eval(&r.subs[*array_dim], reader)?.as_int()?;
-                    let pos0 = stride * sub + offset - t_lo;
-                    if pos0 < 0 || pos0 >= *t_extent {
-                        return Err(InterpError::OutOfBounds {
-                            array: self.p().vars.name(r.array).to_string(),
-                            index: vec![sub],
-                        });
-                    }
-                    GridCoord::At(dist_owner(*dist, pos0, *t_extent, self.grid.extent(g)))
-                }
-                GridDimRule::Fixed(c) => GridCoord::At(*c),
-                GridDimRule::Replicated | GridDimRule::Private => GridCoord::Any,
-            });
+    ) -> Result<GridCoord, InterpError> {
+        if free_dims.contains(&g) {
+            return Ok(GridCoord::Any);
         }
-        Ok(OwnerSet { per_dim })
+        Ok(match rule {
+            GridDimRule::ByDim {
+                array_dim,
+                dist,
+                stride,
+                offset,
+                t_lo,
+                t_extent,
+            } => {
+                let sub = self.eval(&r.subs[*array_dim], reader)?.as_int()?;
+                let pos0 = stride * sub + offset - t_lo;
+                if pos0 < 0 || pos0 >= *t_extent {
+                    return Err(InterpError::OutOfBounds {
+                        array: self.p().vars.name(r.array).to_string(),
+                        index: vec![sub],
+                    });
+                }
+                GridCoord::At(dist_owner(*dist, pos0, *t_extent, self.grid.extent(g)))
+            }
+            GridDimRule::Fixed(c) => GridCoord::At(*c),
+            GridDimRule::Replicated | GridDimRule::Private => GridCoord::Any,
+        })
     }
 
     /// Processor `q`'s read of element `off` (subscripts `idx`) of
@@ -755,8 +777,7 @@ impl<'s> SpmdExec<'s> {
         q: usize,
     ) -> Result<Value, InterpError> {
         let sp = self.sp;
-        let own = sp.maps.of(r.array).owner_on(&self.grid, idx);
-        let src = resolve_owner_pid(&self.grid, &own, q);
+        let src = sp.maps.of(r.array).owner_pid(&self.grid, idx, q);
         if src != q {
             let bytes = sp.program.vars.info(r.array).ty.byte_size() as u64;
             let op = self.cur_stmt.and_then(|s| sp.array_comm_index(s, r));
@@ -770,18 +791,27 @@ impl<'s> SpmdExec<'s> {
     /// the owner of their target.
     fn read_scalar(&mut self, v: VarId, q: usize) -> Result<Value, InterpError> {
         let sp = self.sp;
-        let own = match sp.scalar_mapping(v) {
+        let (target, free_dims) = match sp.scalar_mapping(v) {
             ScalarMapping::Replicated | ScalarMapping::PrivateNoAlign => {
                 return Ok(self.mems[q].scalar(v))
             }
-            ScalarMapping::Aligned { target, .. } => self.eval_owner(target, &[], q)?,
+            ScalarMapping::Aligned { target, .. } => (target, &[][..]),
             ScalarMapping::Reduction {
                 target,
                 reduce_dims,
                 ..
-            } => self.eval_owner(target, reduce_dims, q)?,
+            } => (target, &reduce_dims[..]),
         };
-        let src = resolve_owner_pid(&self.grid, &own, q);
+        // The owner's coordinates, with `Any` dimensions resolved to q's
+        // own (replicated and privatized copies are read locally).
+        let mut src = 0;
+        for (g, rule) in sp.maps.of(target.array).rules.iter().enumerate() {
+            let c = match self.owner_coord(target, g, rule, free_dims, q)? {
+                GridCoord::At(c) => c,
+                GridCoord::Any => self.grid.coord(q, g),
+            };
+            src = src * self.grid.extent(g) + c;
+        }
         if src != q {
             let bytes = sp.program.vars.info(v).ty.byte_size() as u64;
             let op = self
@@ -801,8 +831,7 @@ impl<'s> SpmdExec<'s> {
         let mapping = self.sp.maps.of(v);
         for off in 0..shape.len() as usize {
             let idx = shape.delinearize(off);
-            let own = mapping.owner_on(&self.grid, &idx);
-            let src = resolve_owner_pid(&self.grid, &own, 0);
+            let src = mapping.owner_pid(&self.grid, &idx, 0);
             out.set(off, self.mems[src].array(v).get(off)).unwrap();
         }
         out

@@ -59,17 +59,13 @@ impl Guard {
 /// dimensions resolved to the reader's own coordinates (replicated and
 /// privatized copies are read locally along those dimensions).
 pub fn resolve_owner_pid(grid: &ProcGrid, own: &OwnerSet, reader: usize) -> usize {
-    let rc = grid.coords_of(reader);
-    let coords: Vec<usize> = own
-        .per_dim
-        .iter()
-        .zip(&rc)
-        .map(|(g, &r)| match g {
+    own.per_dim.iter().enumerate().fold(0, |pid, (d, g)| {
+        let c = match g {
             GridCoord::At(x) => *x,
-            GridCoord::Any => r,
-        })
-        .collect();
-    grid.pid_of(&coords)
+            GridCoord::Any => grid.coord(reader, d),
+        };
+        pid * grid.extent(d) + c
+    })
 }
 
 #[cfg(test)]

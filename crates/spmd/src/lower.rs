@@ -6,7 +6,7 @@ use crate::guard::Guard;
 use hpf_analysis::Analysis;
 use hpf_comm::pattern::{classify, symbolic_owner, CommPattern, DimPos, SymbolicOwner};
 use hpf_comm::placement::{place_comm, var_change_level, Placement};
-use hpf_dist::MappingTable;
+use hpf_dist::{MappingTable, ProcGrid};
 use hpf_ir::{ArrayRef, LValue, Program, Stmt, StmtId, VarId};
 use phpf_core::{ArrayMappingDecision, Decisions, ScalarMapping};
 use std::collections::HashMap;
@@ -75,6 +75,11 @@ pub struct ReduceOp {
     pub loc: Option<VarId>,
     pub reduce_dims: Vec<usize>,
     pub op: hpf_analysis::RedOp,
+    /// The processors that combine with each other: one group per
+    /// coordinate outside `reduce_dims`, each in ascending pid order (the
+    /// first is the group's leader), groups ordered by leader. Empty when
+    /// `reduce_dims` is.
+    pub groups: Vec<Vec<usize>>,
 }
 
 /// One entry of a [`Schedule`]: the placement facts of a communication
@@ -147,20 +152,35 @@ pub struct SpmdProgram {
     pub program: Program,
     pub maps: MappingTable,
     pub decisions: Decisions,
-    pub guards: HashMap<StmtId, Guard>,
+    /// Each statement's guard, indexed by [`StmtId`].
+    pub guards: Vec<Guard>,
     pub comms: Vec<CommOp>,
     pub reduces: Vec<ReduceOp>,
-    /// Scalar variable → its (consistent) mapping, for read resolution.
-    pub var_mapping: HashMap<VarId, ScalarMapping>,
+    /// Each scalar variable's (consistent) mapping, for read resolution,
+    /// indexed by [`VarId`] (`Replicated` for arrays).
+    pub var_mapping: Vec<ScalarMapping>,
+    /// Indexed by [`StmtId`]: for a maxloc reduction IF, the scalars each
+    /// partial owner tests and updates in its own memory (the location
+    /// variable and every scalar the IF's body writes); `None` for every
+    /// other statement.
+    pub if_locals: Vec<Option<Vec<VarId>>>,
 }
 
 impl SpmdProgram {
     pub fn guard(&self, s: StmtId) -> &Guard {
-        self.guards.get(&s).unwrap_or(&Guard::Everyone)
+        self.guards.get(s.index()).unwrap_or(&Guard::Everyone)
     }
 
     pub fn scalar_mapping(&self, v: VarId) -> &ScalarMapping {
-        self.var_mapping.get(&v).unwrap_or(&ScalarMapping::Replicated)
+        self.var_mapping
+            .get(v.index())
+            .unwrap_or(&ScalarMapping::Replicated)
+    }
+
+    /// The partial-owner locals of maxloc reduction IF `s` (see
+    /// `if_locals`), or `None` if `s` is not one.
+    pub fn reduction_if_locals(&self, s: StmtId) -> Option<&[VarId]> {
+        self.if_locals.get(s.index())?.as_deref()
     }
 
     /// Total count of communication operations placed inside loops at
@@ -230,21 +250,22 @@ pub fn lower(
     }
 
     // 2. Consistent per-variable scalar mapping table.
-    let mut var_mapping: HashMap<VarId, ScalarMapping> = HashMap::new();
+    let mut var_mapping = vec![ScalarMapping::Replicated; p.vars.len()];
     for (&def, m) in &decisions.scalars {
         if let Some(v) = p.stmt(def).written_var() {
             // All reaching defs of any use share one mapping by
             // construction; replicated entries never override privatized
             // ones.
-            let e = var_mapping.entry(v).or_insert_with(|| m.clone());
+            let e = &mut var_mapping[v.index()];
             if e.is_replicated() {
                 *e = m.clone();
             }
         }
     }
 
-    // 3. Guards.
-    let mut guards = HashMap::new();
+    // 3. Guards, and the locals of maxloc reduction IFs.
+    let mut guards = vec![Guard::Everyone; p.num_stmts()];
+    let mut if_locals = vec![None; p.num_stmts()];
     for s in p.preorder() {
         let g = match p.stmt(s) {
             Stmt::Assign { lhs, .. } => match lhs {
@@ -262,7 +283,15 @@ pub fn lower(
                 // A maxloc reduction IF executes on the partial owners of
                 // the operand reference (Sec. 2.3), not under the generic
                 // control-flow rules.
-                if let ScalarMapping::Reduction { target, .. } = decisions.scalar(s) {
+                if let ScalarMapping::Reduction {
+                    target, loc_var, ..
+                } = decisions.scalar(s)
+                {
+                    if let Stmt::If { then_body, .. } = p.stmt(s) {
+                        let written = then_body.iter().filter_map(|&t| p.stmt(t).written_var());
+                        if_locals[s.index()] =
+                            Some(loc_var.iter().copied().chain(written).collect());
+                    }
                     Guard::owner_of(target.clone())
                 } else {
                     match decisions.control(s) {
@@ -273,7 +302,7 @@ pub fn lower(
             }
             Stmt::Do { .. } | Stmt::Continue => Guard::Everyone,
         };
-        guards.insert(s, g);
+        guards[s.index()] = g;
     }
 
     // 4. Communication operations.
@@ -398,6 +427,7 @@ pub fn lower(
                 loc: *loc_var,
                 reduce_dims: reduce_dims.clone(),
                 op: red.op,
+                groups: reduce_groups(&maps.grid, reduce_dims),
             });
         }
     }
@@ -410,7 +440,29 @@ pub fn lower(
         comms,
         reduces,
         var_mapping,
+        if_locals,
     }
+}
+
+/// The combine groups of a reduction over grid dimensions `reduce_dims`
+/// (see [`ReduceOp::groups`]).
+fn reduce_groups(grid: &ProcGrid, reduce_dims: &[usize]) -> Vec<Vec<usize>> {
+    if reduce_dims.is_empty() {
+        return Vec::new();
+    }
+    // Pids ascend, so each group's first member is its smallest pid.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for pid in grid.pids() {
+        let same_group = |q: usize| {
+            (0..grid.rank())
+                .all(|g| reduce_dims.contains(&g) || grid.coord(q, g) == grid.coord(pid, g))
+        };
+        match groups.iter_mut().find(|members| same_group(members[0])) {
+            Some(members) => members.push(pid),
+            None => groups.push(vec![pid]),
+        }
+    }
+    groups
 }
 
 fn array_guard(
@@ -446,13 +498,13 @@ fn dest_owner(
     p: &Program,
     a: &Analysis<'_>,
     maps: &MappingTable,
-    guards: &HashMap<StmtId, Guard>,
+    guards: &[Guard],
     decisions: &Decisions,
     s: StmtId,
 ) -> SymbolicOwner {
     let _ = decisions;
-    match guards.get(&s) {
-        Some(Guard::OwnerOf { r, free_dims }) => {
+    match &guards[s.index()] {
+        Guard::OwnerOf { r, free_dims } => {
             match symbolic_owner(p, &a.cfg, &a.dom, &a.induction, maps.of(r.array), s, r) {
                 Some(mut o) => {
                     for &g in free_dims {
@@ -542,7 +594,7 @@ fn collect_comms(
     p: &Program,
     a: &Analysis<'_>,
     maps: &MappingTable,
-    var_mapping: &HashMap<VarId, ScalarMapping>,
+    var_mapping: &[ScalarMapping],
     s: StmtId,
     e: &hpf_ir::Expr,
     dst: &SymbolicOwner,
@@ -651,8 +703,7 @@ fn collect_comms(
     }
     // Scalar operands mapped to partitioned data.
     for w in e.scalar_reads() {
-        let Some(m) = var_mapping.get(&w) else { continue };
-        let (target, tstmt, free) = match m {
+        let (target, tstmt, free) = match &var_mapping[w.index()] {
             ScalarMapping::Aligned {
                 target, target_stmt, ..
             } => (target, *target_stmt, Vec::new()),

@@ -581,7 +581,7 @@ fn require_operand_comms(
 /// per-variable mapping table (the one `collect_comms` consults), with
 /// reduction free dims applied.
 fn aligned_var_home(sp: &SpmdProgram, w: VarId) -> Option<(StmtId, ArrayRef, Vec<usize>)> {
-    match sp.var_mapping.get(&w)? {
+    match sp.scalar_mapping(w) {
         ScalarMapping::Aligned {
             target, target_stmt, ..
         } => Some((*target_stmt, target.clone(), Vec::new())),

@@ -247,11 +247,11 @@ END DO
     let corrupted: hpf_spmd::Trace = vec![
         vec![Event::Exec {
             stmt,
-            env: vec![(i, 1)],
+            env: [(i, 1)].into(),
         }],
         vec![Event::Exec {
             stmt,
-            env: vec![(i, 1)],
+            env: [(i, 1)].into(),
         }],
     ];
     let report = hpf_verify::verify_schedule_trace(&sp, &corrupted, &[]);

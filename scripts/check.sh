@@ -9,6 +9,9 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+echo "==> executor allocation budget on the release build (the build the benchmark times)"
+cargo test --release -q --test exec_alloc_budget
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
@@ -254,4 +257,4 @@ if [ -z "$faulted_msgs" ] || [ "$faulted_msgs" != "$clean_msgs" ]; then
     exit 1
 fi
 
-echo "OK: build, tests, lints, perfbench, verification, trace round trips, bench output, socket smoke, trace smoke and chaos smoke all clean"
+echo "OK: build, tests, allocation budget, lints, perfbench, verification, trace round trips, bench output, socket smoke, trace smoke and chaos smoke all clean"

@@ -20,8 +20,10 @@ fn main() {
         })
         .unwrap_or_else(|e| panic!("{}: {}", v.name(), e));
         let a0 = dgefa::init_matrix(n_small);
+        let rec = hpf_spmd::Recorded::run(&c.spmd, move |m| m.fill_real(a, &a0), true)
+            .unwrap_or_else(|e| panic!("{} reference run: {}", v.name(), e));
         let check = c
-            .cross_check(move |m| m.fill_real(a, &a0))
+            .cross_check(&rec)
             .unwrap_or_else(|e| panic!("{} cross-check: {}", v.name(), e));
         println!(
             "validated {:<22} (n={}, P=4): results match sequential; \

@@ -263,10 +263,10 @@ fn main() -> ExitCode {
         println!("bytes    {:>12.0}", r.bytes);
     }
     // Deterministic non-trivial data in every real array so the
-    // communication paths actually move values. The verify paths share
-    // this init: DGEFA-style data-dependent schedules communicate
-    // differently under different data, so the verifier must replay the
-    // same memory the observed runs used.
+    // communication paths actually move values. The socket driver fills
+    // its workers with the same pattern (`NetJob::with_default_fills`):
+    // DGEFA-style data-dependent schedules communicate differently under
+    // different data, so a trace from any backend must match the record.
     let arrays: Vec<_> = compiled
         .spmd
         .program
@@ -282,8 +282,18 @@ fn main() -> ExitCode {
         }
     };
 
+    // One reference run from that data, made on first use, serves every
+    // in-process consumer: the verifier, the trace check, the observation
+    // and the thread replay. The socket backend's driver makes its own.
+    let record = std::cell::OnceCell::new();
+    let rec = || {
+        record
+            .get_or_init(|| hpf_spmd::Recorded::run(&compiled.spmd, init, true))
+            .as_ref()
+    };
+
     if verify {
-        let report = compiled.verify(init);
+        let report = hpf_verify::verify_execution(&compiled.spmd, rec());
         print!("{}", compiled.render_diagnostics(&report));
         if !report.is_clean() {
             eprintln!(
@@ -309,7 +319,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let report = compiled.verify_trace(&recorded, init);
+        let report = hpf_verify::verify_recorded_trace(&compiled.spmd, &recorded, rec());
         print!("{}", compiled.render_diagnostics(&report));
         if report.is_clean() {
             println!(
@@ -331,38 +341,34 @@ fn main() -> ExitCode {
         let mut trace_out: Option<hpf_obs::Trace> = None;
         let mut degraded = false;
         let observed = match backend {
-            None if trace_path.is_some() => {
-                let mut exec = hpf_spmd::SpmdExec::new(&compiled.spmd, init).with_trace();
-                match exec.run() {
-                    Ok(_) => {
-                        trace_out = exec.take_obs();
-                        Ok(exec.metrics)
+            None => rec()
+                .map_err(|e| format!("execution failed: {:?}", e))
+                .map(|rec| {
+                    if trace_path.is_some() {
+                        trace_out = Some(rec.obs(&compiled.spmd));
                     }
-                    Err(e) => Err(format!("execution failed: {:?}", e)),
-                }
-            }
-            None => compiled.observe(init).map(|(_, metrics)| metrics),
-            Some(Backend::Thread) => hpf_spmd::validate_replay_traced(
-                &compiled.spmd,
-                init,
-                true,
-                trace_path.is_some(),
-            )
-            .map(|r| {
-                println!(
-                    "backend thread: replay on {} worker threads matched the reference \
-                     executor ({} wire messages)",
-                    compiled.spmd.maps.grid.total(),
-                    r.stats.messages_sent
-                );
-                println!(
-                    "BENCH_JSON {{\"table\":\"replay\",\"backend\":\"thread\",\
-                     \"degraded\":false,\"metrics\":{}}}",
-                    r.metrics.to_json()
-                );
-                trace_out = r.obs;
-                r.metrics
-            }),
+                    rec.metrics.clone()
+                }),
+            Some(Backend::Thread) => rec()
+                .map_err(|e| format!("reference run failed: {}", e))
+                .and_then(|rec| {
+                    hpf_spmd::replay_recorded(&compiled.spmd, rec, init, trace_path.is_some())
+                })
+                .map(|r| {
+                    println!(
+                        "backend thread: replay on {} worker threads matched the reference \
+                         executor ({} wire messages)",
+                        compiled.spmd.maps.grid.total(),
+                        r.stats.messages_sent
+                    );
+                    println!(
+                        "BENCH_JSON {{\"table\":\"replay\",\"backend\":\"thread\",\
+                         \"degraded\":false,\"metrics\":{}}}",
+                        r.metrics.to_json()
+                    );
+                    trace_out = r.obs;
+                    r.metrics
+                }),
             Some(Backend::Socket) => {
                 let job = netrun::NetJob {
                     source: src.clone(),

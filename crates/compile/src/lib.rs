@@ -12,7 +12,7 @@ use hpf_analysis::Analysis;
 use hpf_comm::MachineParams;
 use hpf_dist::{MappingTable, ProcGrid};
 use hpf_ir::{parse_program, Program};
-use hpf_spmd::{costsim, lower, CostReport, SpmdProgram};
+use hpf_spmd::{costsim, lower, CostReport, Recorded, SpmdProgram};
 use phpf_core::{CoreConfig, ScalarPolicy};
 
 /// A named compiler configuration matching one column of the paper's
@@ -160,48 +160,20 @@ impl Compiled {
         report::render(self)
     }
 
-    /// Execute the program on the reference SPMD executor and return the
-    /// per-element statistics together with the wire-level communication
-    /// metrics ([`hpf_spmd::CommMetrics`]) the run produced.
-    pub fn observe(
-        &self,
-        init: impl Fn(&mut hpf_ir::Memory),
-    ) -> Result<(hpf_spmd::ExecStats, hpf_spmd::CommMetrics), String> {
-        let mut exec = hpf_spmd::SpmdExec::new(&self.spmd, init);
-        exec.run().map_err(|e| format!("execution failed: {:?}", e))?;
-        let stats = exec.stats;
-        Ok((stats, exec.metrics))
+    /// Validate a reference run's observed wire traffic against the cost
+    /// model's per-operation message predictions.
+    pub fn cross_check(&self, rec: &Recorded) -> Result<hpf_spmd::CrossCheck, String> {
+        hpf_spmd::cross_check(&self.spmd, &self.estimate(), &rec.metrics)
     }
 
-    /// Execute the program and validate the observed wire traffic against
-    /// the cost model's per-operation message predictions.
-    pub fn cross_check(
-        &self,
-        init: impl Fn(&mut hpf_ir::Memory),
-    ) -> Result<hpf_spmd::CrossCheck, String> {
-        let (_, metrics) = self.observe(init)?;
-        let cost = self.estimate();
-        hpf_spmd::cross_check(&self.spmd, &cost, &metrics)
-    }
-
-    /// Run the static verifier (`hpf-verify`) on the lowered program:
+    /// Run the reference executor once from `init` and verify the lowered
+    /// program against that run ([`hpf_verify::verify_execution`]):
     /// privatization soundness, schedule matching / deadlock-freedom /
     /// epoch-cut closure, and happens-before race detection. `init` must
     /// reproduce the intended initial memory — a data-dependent schedule
     /// (DGEFA's pivoting) communicates differently under different data.
     pub fn verify(&self, init: impl Fn(&mut hpf_ir::Memory)) -> hpf_verify::VerifyReport {
-        hpf_verify::verify_execution(&self.spmd, init)
-    }
-
-    /// Cross-validate a recorded observability trace (`--trace` output,
-    /// parsed back with [`hpf_obs::parse_chrome_json`]) against the
-    /// program's static happens-before relation.
-    pub fn verify_trace(
-        &self,
-        recorded: &hpf_obs::Trace,
-        init: impl Fn(&mut hpf_ir::Memory),
-    ) -> hpf_verify::VerifyReport {
-        hpf_verify::verify_recorded_trace(&self.spmd, recorded, init)
+        hpf_verify::verify_execution(&self.spmd, Recorded::run(&self.spmd, init, true).as_ref())
     }
 
     /// Render a verification report rustc-style for terminal output.

@@ -5,25 +5,27 @@
 //! frames over [`hpf_net::socket`] links. There is one driver, a
 //! supervised generation loop:
 //!
-//! * the *parent* ([`socket_validate_replay`]) compiles the program, runs
-//!   the reference executor for the authoritative memories, then runs
-//!   *generations*: it spawns one `networker` process per rank, plays
-//!   rendezvous server (each worker registers `(rank, data address)` over
-//!   a framed control connection and gets back the job spec plus the
-//!   full address map), and steps the cohort through the executor's
-//!   epochs in lock step. After every epoch each rank reports a status
-//!   carrying its checkpoint — cumulative replay stats and memory — and
-//!   waits for `Proceed`; once all ranks report, the parent
-//!   commits that cut. A generation ends with one result per rank, or is
-//!   torn down on the first failure and respawned from the last committed
-//!   cut. When the respawn budget runs dry the run degrades to the
-//!   in-process thread backend.
+//! * the *parent* ([`socket_validate_replay`]) compiles the program, makes
+//!   one reference record ([`Recorded::run`]) for the authoritative
+//!   memories and traffic, then runs *generations*: it spawns one
+//!   `networker` process per rank, plays rendezvous server (each worker
+//!   registers `(rank, data address)` over a framed control connection and
+//!   gets back the job spec plus the full address map), and steps the
+//!   cohort through the record's epochs in lock step. After every epoch
+//!   each rank reports a status carrying its checkpoint — cumulative
+//!   replay stats and memory — and waits for `Proceed`; once all ranks
+//!   report, the parent commits that cut. A generation ends with one
+//!   result per rank, or is torn down on the first failure and respawned
+//!   from the last committed cut. When the respawn budget runs dry the run
+//!   degrades to the in-process thread backend, which replays the parent's
+//!   record.
 //! * each *worker* ([`worker_main`], the `networker` binary) heartbeats on
-//!   its control link, recompiles the same source deterministically,
-//!   records the same trace with the reference executor, meshes with its
-//!   peers via [`SocketTransport::connect_mesh`], and replays its rank's
-//!   events epoch by epoch with [`hpf_spmd::replay_rank_segment`] — the
-//!   exact engine the threaded backend uses, just over sockets;
+//!   its control link, recompiles the same source deterministically, makes
+//!   its own record of the same run (a separate process cannot share the
+//!   parent's), meshes with its peers via
+//!   [`SocketTransport::connect_mesh`], and replays its rank's events
+//!   epoch by epoch with [`hpf_spmd::replay_rank_segment`] — the exact
+//!   engine the threaded backend uses, just over sockets;
 //! * the parent checks every owner slot bit-for-bit against the reference
 //!   memories ([`hpf_spmd::check_owner_slots`]). Workers ship no traffic
 //!   counters: a rank that completes replayed exactly its own event list,
@@ -48,7 +50,7 @@ use hpf_net::{FaultInjector, NetError, RetryPolicy, Transport};
 use hpf_obs::{Body, BufTracer, CommKind, TraceEvent, Tracer};
 use hpf_spmd::metrics::{CommMetrics, RecoveryCounters};
 use hpf_spmd::{
-    check_owner_slots, replay_rank_segment, validate_replay_traced, ReplayStats, Replayed, SpmdExec,
+    check_owner_slots, replay_rank_segment, replay_recorded, ReplayStats, Recorded, Replayed,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -810,11 +812,7 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
     if trace {
         pipe.begin("reference-exec");
     }
-    let mut exec = SpmdExec::new(&compiled.spmd, &init).with_trace();
-    if !job.vectorize {
-        exec = exec.without_vectorization();
-    }
-    exec.run()
+    let rec = Recorded::run(&compiled.spmd, &init, job.vectorize)
         .map_err(|e| format!("reference run failed: {:?}", e))?;
     if trace {
         pipe.end("reference-exec");
@@ -866,7 +864,7 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
                 "respawn budget ({}) exhausted; last generation failed with: {}",
                 budget, who
             );
-            return degrade_to_threads(&reason, job, &compiled, &init, recovery, pipe);
+            return degrade_to_threads(&reason, job, &compiled, &rec, &init, recovery, pipe);
         }
         recovery.respawns += dead.iter().filter(|(r, _)| r.is_some()).count().max(1) as u64;
         for (r, why) in &dead {
@@ -920,11 +918,11 @@ pub fn socket_validate_replay(job: &NetJob, cfg: &NetRunConfig) -> Result<Replay
             rank_obs.push((rank, events));
         }
     }
-    check_owner_slots(&compiled.spmd, &mems, &exec.mems)
+    check_owner_slots(&compiled.spmd, &mems, &rec.mems)
         .map_err(|e| format!("processes vs reference: {}", e))?;
     // Every rank completed its own event list, so the run's traffic is the
     // traffic the reference executor booked from those events.
-    let mut metrics = std::mem::take(&mut exec.metrics);
+    let mut metrics = rec.metrics;
     check_sent(stats.messages_sent, &metrics)?;
     metrics.max_in_flight = peak_in_flight;
     metrics.recovery.merge(&recovery);
@@ -953,12 +951,14 @@ fn check_sent(sent: u64, metrics: &CommMetrics) -> Result<(), String> {
     Ok(())
 }
 
-/// The respawn budget is spent: re-run the program on the in-process
-/// thread backend, validate as usual, and label the result degraded.
+/// The respawn budget is spent: replay the parent's record on the
+/// in-process thread backend, validate as usual, and label the result
+/// degraded.
 fn degrade_to_threads(
     reason: &str,
     job: &NetJob,
     compiled: &Compiled,
+    rec: &Recorded,
     init: &(impl Fn(&mut Memory) + Sync),
     mut recovery: RecoveryCounters,
     mut pipe: BufTracer,
@@ -972,12 +972,12 @@ fn degrade_to_threads(
     if trace {
         pipe.push(Body::Fault {
             name: "fallback".into(),
-            detail: format!("{}; re-running on the thread backend", reason),
+            detail: format!("{}; replaying on the thread backend", reason),
             peer: None,
             last_seq: None,
         });
     }
-    let mut r = validate_replay_traced(&compiled.spmd, init, job.vectorize, trace)?;
+    let mut r = replay_recorded(&compiled.spmd, rec, init, trace)?;
     r.metrics.recovery.merge(&recovery);
     r.degraded = true;
     if trace {
@@ -1037,7 +1037,7 @@ fn rendezvous(
 // respawn.
 //
 // The parent runs the replay as a sequence of *epochs* (the executor's
-// loop-level barrier cuts, [`SpmdExec::epoch_cuts`]). After each epoch every
+// loop-level barrier cuts, [`Recorded::cuts`]). After each epoch every
 // worker ships a status — its checkpoint plus any fault events its transport
 // healed — and waits for a `Proceed` directive. The parent commits the
 // checkpoint once all ranks report, so there is always a globally consistent
@@ -1063,7 +1063,7 @@ const DIRECTIVE_PROCEED: u8 = 1;
 /// one; a respawn then re-runs at most k cuts' worth of work.
 const MAX_EPOCHS: usize = 16;
 
-/// The executor's epoch cuts ([`SpmdExec::epoch_cuts`]) thinned to at most
+/// The executor's epoch cuts ([`Recorded::cuts`]) thinned to at most
 /// [`MAX_EPOCHS`] epochs, keeping the first and last boundary. Any subset
 /// of the cuts is a set of consistent restart points, and every worker
 /// derives the same subset from the same trace.
@@ -1541,16 +1541,11 @@ fn replay_epochs(
         ));
     }
     let init = make_init(&compiled, &wire.job.fills)?;
-    // Recompute the trace deterministically — same compiler, same source,
+    // Recompute the record deterministically — same compiler, same source,
     // same fills as the parent and every sibling.
-    let mut exec = SpmdExec::new(&compiled.spmd, &init).with_trace();
-    if !wire.job.vectorize {
-        exec = exec.without_vectorization();
-    }
-    exec.run()
+    let rec = Recorded::run(&compiled.spmd, &init, wire.job.vectorize)
         .map_err(|e| format!("reference run failed: {:?}", e))?;
-    let cuts = lockstep_cuts(exec.epoch_cuts());
-    let trace = exec.trace.take().expect("trace recorded");
+    let cuts = lockstep_cuts(&rec.cuts);
 
     let start_epoch = wire.resume.as_ref().map_or(0, |(done, _)| *done as usize);
     let (mut stats, mut mem) = match &wire.resume {
@@ -1589,7 +1584,7 @@ fn replay_epochs(
 
     let mut obs = wire.job.trace.then(|| BufTracer::for_rank(rank));
     let mut fault_log: Vec<TraceEvent> = Vec::new();
-    let events = &trace[rank];
+    let events = &rec.trace[rank];
     let nepochs = cuts.len().saturating_sub(1);
     for epoch in start_epoch..nepochs {
         let seg = &events[cuts[epoch][rank]..cuts[epoch + 1][rank]];

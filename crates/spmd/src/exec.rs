@@ -14,7 +14,7 @@
 //! coalesce into one vectorized [`Event::SendVec`]/[`Event::RecvVec`]
 //! message — is recorded once, as its [`Event`]: the executor books the
 //! event into [`CommMetrics`] when it is final (a `Send` when built, a
-//! `SendVec` when its group closes), and [`SpmdExec::take_obs`] derives
+//! `SendVec` when its group closes), and [`Recorded::obs`] derives
 //! the comm timelines from the recorded trace through [`comm_bodies`],
 //! the mapping the replay records its timeline with. The counters are
 //! directly comparable to the cost model's message predictions (checked
@@ -249,11 +249,7 @@ pub struct SpmdExec<'s> {
     pub step_limit: u64,
     /// When present, the execution is recorded for threaded replay.
     pub trace: Option<Trace>,
-    /// Epoch boundaries of the recorded trace: snapshots of every rank's
-    /// trace length, taken at top-level statement boundaries and outermost
-    /// loop iteration starts — but only while no coalescing group is open,
-    /// so every event before a cut is final. Supervised replay restarts a
-    /// failed rank from the last committed cut.
+    /// Epoch boundaries of the recorded trace ([`Recorded::cuts`]).
     cuts: Vec<Vec<usize>>,
     /// Current loop-variable bindings (outermost first).
     loop_env: Vec<(VarId, i64)>,
@@ -322,21 +318,6 @@ impl<'s> SpmdExec<'s> {
         self
     }
 
-    /// The comm timelines of the recorded trace as one merged observability
-    /// trace (ranks in ascending order): each rank's events mapped through
-    /// [`comm_bodies`], exactly as the replay records them. `None` unless
-    /// [`SpmdExec::with_trace`] was used.
-    pub fn take_obs(&self) -> Option<hpf_obs::Trace> {
-        let ranks = self.trace.as_ref()?.iter().enumerate().map(|(r, events)| {
-            let mut t = BufTracer::for_rank(r);
-            for ev in events {
-                comm_bodies(self.sp, r, ev, None, |b| t.push(b));
-            }
-            (r, t.into_events())
-        });
-        Some(hpf_obs::Trace::from_ranks(ranks.collect()))
-    }
-
     /// Disable fetch coalescing: every cross-processor element moves as
     /// its own message (the baseline vectorization is compared against).
     pub fn without_vectorization(mut self) -> Self {
@@ -357,13 +338,6 @@ impl<'s> SpmdExec<'s> {
         self.env_snap
             .get_or_insert_with(|| loop_env.as_slice().into())
             .clone()
-    }
-
-    /// The recorded trace's epoch boundaries (see the `cuts` field). The
-    /// first cut is all zeros, the last covers the full trace; consecutive
-    /// duplicates are elided. Empty unless the execution was traced.
-    pub fn epoch_cuts(&self) -> &[Vec<usize>] {
-        &self.cuts
     }
 
     /// Snapshot an epoch boundary if it is safe: every rank's current
@@ -888,6 +862,61 @@ pub(crate) fn fold_partial(
         }
     };
     Ok(())
+}
+
+/// The product of one traced reference-executor run: the schedule every
+/// other component consumes. The verifier checks its trace and cuts, the
+/// replays play its trace and compare against its memories, and the
+/// cross-check reads its metrics, so one run serves them all.
+#[derive(Debug)]
+pub struct Recorded {
+    /// Per-processor event lists.
+    pub trace: Trace,
+    /// Epoch boundaries: snapshots of every rank's trace length, taken at
+    /// top-level statement boundaries and outermost loop iteration starts,
+    /// but only while no coalescing group is open, so every event before
+    /// a cut is final. The first cut is all zeros, the last covers the
+    /// full trace, and consecutive duplicates are elided. Supervised
+    /// replay restarts a failed rank from the last committed cut.
+    pub cuts: Vec<Vec<usize>>,
+    /// The final per-processor memories.
+    pub mems: Vec<Memory>,
+    pub stats: ExecStats,
+    /// Wire-level accounting (coalesced messages count once).
+    pub metrics: CommMetrics,
+}
+
+impl Recorded {
+    /// Run `sp` once on the traced executor, every processor's memory set
+    /// up by `init`; `vectorize = false` records per-element `Send`/`Recv`
+    /// events only (the baseline for the coalesced schedule).
+    pub fn run(
+        sp: &SpmdProgram,
+        init: impl Fn(&mut Memory),
+        vectorize: bool,
+    ) -> Result<Recorded, InterpError> {
+        let mut exec = SpmdExec::new(sp, init).with_trace();
+        exec.vectorize = vectorize;
+        exec.run()?;
+        let SpmdExec { trace, cuts, mems, stats, metrics, .. } = exec;
+        let trace = trace.expect("with_trace records a trace");
+        Ok(Recorded { trace, cuts, mems, stats, metrics })
+    }
+
+    /// The comm timelines of the trace as one merged observability trace
+    /// (ranks in ascending order): each rank's events mapped through
+    /// [`comm_bodies`], exactly as the replay records them. `sp` is the
+    /// program that was run.
+    pub fn obs(&self, sp: &SpmdProgram) -> hpf_obs::Trace {
+        let ranks = self.trace.iter().enumerate().map(|(r, events)| {
+            let mut t = BufTracer::for_rank(r);
+            for ev in events {
+                comm_bodies(sp, r, ev, None, |b| t.push(b));
+            }
+            (r, t.into_events())
+        });
+        hpf_obs::Trace::from_ranks(ranks.collect())
+    }
 }
 
 /// Run a lowered program and check its results element-by-element against

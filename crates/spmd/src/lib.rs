@@ -41,13 +41,13 @@ pub mod runtime;
 pub use combine::{combine_messages, CombineStats};
 pub use costsim::{estimate, CostReport};
 pub use crosscheck::{cross_check, CrossCheck, OpCheck};
-pub use exec::{validate_against_sequential, ExecStats, SpmdExec};
+pub use exec::{validate_against_sequential, ExecStats, Recorded, SpmdExec};
 pub use guard::Guard;
 pub use exec::{Event, Slot, Tag, Trace};
 pub use lower::{lower, CommData, CommOp, ReduceOp, Schedule, ScheduleOp, SpmdProgram};
 pub use metrics::{CommMetrics, RecoveryCounters};
 pub use runtime::{
     check_owner_slots, replay, replay_rank, replay_rank_segment, replay_rank_traced,
-    replay_traced, validate_replay, validate_replay_opts, validate_replay_traced, Replayed,
+    replay_recorded, validate_replay, validate_replay_traced, Replayed,
     ReplayStats,
 };

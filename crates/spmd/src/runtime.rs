@@ -4,9 +4,8 @@
 //! [`hpf_net::channel`] backend, or a whole OS process over the
 //! [`hpf_net::socket`] backend — communicating only through a
 //! [`Transport`]. The runtime *replays* the communication schedule
-//! recorded by the reference executor
-//! ([`crate::exec::SpmdExec::with_trace`]): each worker owns a private
-//! [`Memory`], evaluates its assignments purely locally — with the
+//! recorded by one reference-executor run ([`Recorded`]): each worker owns
+//! a private [`Memory`], evaluates its assignments purely locally — with the
 //! sequential interpreter's evaluator ([`hpf_ir::interp::assign`]) over
 //! that memory — and obtains every remote operand through an actual
 //! message. The replay keeps no traffic counters of its own: a rank that
@@ -28,7 +27,7 @@
 //! multi-process driver in `hpf-compile::netrun` runs the same function in
 //! separate OS processes over socket links.
 
-use crate::exec::{comm_bodies, fold_partial, Event, Slot, SpmdExec, Trace};
+use crate::exec::{comm_bodies, fold_partial, Event, Recorded, Slot, Trace};
 use crate::lower::SpmdProgram;
 use crate::metrics::CommMetrics;
 use hpf_ir::interp::{self, InterpError, Memory};
@@ -114,7 +113,7 @@ pub fn replay_rank_traced<T: Transport>(
 }
 
 /// Replay a *segment* of a rank's event list — the epoch-sized unit of
-/// [`crate::exec::SpmdExec::epoch_cuts`] — accumulating stats across
+/// [`Recorded::cuts`] — accumulating stats across
 /// calls. Unlike [`replay_rank_traced`] this neither tears the transport
 /// down nor books any traffic, so a supervised worker can run epoch after
 /// epoch over one mesh (checkpointing between them) and finish only once.
@@ -164,18 +163,9 @@ pub fn replay_rank_segment<T: Transport>(
 }
 
 /// Run the threaded replay of a recorded trace; returns the per-processor
-/// memories, aggregate stats and communication metrics.
+/// memories, aggregate stats and communication metrics, and with
+/// `want_obs` a merged observability trace of every rank's wire traffic.
 pub fn replay(
-    sp: &SpmdProgram,
-    trace: &Trace,
-    init: impl Fn(&mut Memory) + Sync,
-) -> Result<Replayed, String> {
-    replay_traced(sp, trace, init, false)
-}
-
-/// [`replay`] with an optional merged observability trace of every rank's
-/// wire traffic (`want_obs = true`).
-pub fn replay_traced(
     sp: &SpmdProgram,
     trace: &Trace,
     init: impl Fn(&mut Memory) + Sync,
@@ -452,37 +442,35 @@ pub fn validate_replay(
     sp: &SpmdProgram,
     init: impl Fn(&mut Memory) + Sync,
 ) -> Result<Replayed, String> {
-    validate_replay_opts(sp, init, true)
+    validate_replay_traced(sp, init, true, false)
 }
 
 /// [`validate_replay`] with explicit control over message vectorization in
-/// the recording executor: `vectorize = false` records per-element
-/// `Send`/`Recv` events only (the differential baseline for the coalesced
-/// schedule).
-pub fn validate_replay_opts(
-    sp: &SpmdProgram,
-    init: impl Fn(&mut Memory) + Sync,
-    vectorize: bool,
-) -> Result<Replayed, String> {
-    validate_replay_traced(sp, init, vectorize, false)
-}
-
-/// [`validate_replay_opts`] with an optional merged observability trace of
-/// the threaded replay (`want_obs = true` fills [`Replayed::obs`]).
+/// the recording executor (see [`Recorded::run`]) and an optional merged
+/// observability trace of the threaded replay (`want_obs = true` fills
+/// [`Replayed::obs`]).
 pub fn validate_replay_traced(
     sp: &SpmdProgram,
     init: impl Fn(&mut Memory) + Sync,
     vectorize: bool,
     want_obs: bool,
 ) -> Result<Replayed, String> {
-    let mut exec = SpmdExec::new(sp, &init).with_trace();
-    if !vectorize {
-        exec = exec.without_vectorization();
-    }
-    exec.run().map_err(|e| format!("reference run failed: {}", e))?;
-    let trace = exec.trace.take().expect("trace recorded");
-    let replayed = replay_traced(sp, &trace, &init, want_obs)?;
-    check_owner_slots(sp, &replayed.mems, &exec.mems)
+    let rec = Recorded::run(sp, &init, vectorize)
+        .map_err(|e| format!("reference run failed: {}", e))?;
+    replay_recorded(sp, &rec, init, want_obs)
+}
+
+/// Replay a recorded run on threads, every rank starting from `init` (the
+/// memory the record was made from), and check that every processor's
+/// owner slots match the record's memories.
+pub fn replay_recorded(
+    sp: &SpmdProgram,
+    rec: &Recorded,
+    init: impl Fn(&mut Memory) + Sync,
+    want_obs: bool,
+) -> Result<Replayed, String> {
+    let replayed = replay(sp, &rec.trace, init, want_obs)?;
+    check_owner_slots(sp, &replayed.mems, &rec.mems)
         .map_err(|e| format!("threads vs reference: {}", e))?;
     Ok(replayed)
 }

@@ -20,10 +20,11 @@
 //!   against the static happens-before relation: `T300`–`T302`.
 //!
 //! Entry points: [`verify_static`] (decisions only, no execution),
-//! [`verify_execution`] (compiles the schedule by running the
-//! reference executor, then checks everything), [`verify_schedule_trace`]
+//! [`verify_execution`] (checks everything against the schedule one
+//! reference run recorded, a [`Recorded`]), [`verify_schedule_trace`]
 //! (checks a supplied replay trace — the negative-corpus hook), and
-//! [`verify_recorded_trace`] (`--verify-trace`).
+//! [`verify_recorded_trace`] (`--verify-trace`). None of them runs the
+//! executor: the caller makes the record once and shares it.
 
 pub mod csp;
 pub mod diag;
@@ -33,10 +34,11 @@ pub mod render;
 pub mod trace;
 
 pub use diag::{Diagnostic, Severity, VerifyReport, VerifyVerdict};
+pub use trace::verify_recorded_trace;
 
 use hpf_analysis::Analysis;
-use hpf_ir::Memory;
-use hpf_spmd::{SpmdExec, SpmdProgram};
+use hpf_ir::interp::InterpError;
+use hpf_spmd::{Recorded, SpmdProgram};
 
 /// Verify the statically decidable properties: every privatization /
 /// alignment decision against the paper's side conditions, and operand
@@ -48,59 +50,49 @@ pub fn verify_static(sp: &SpmdProgram) -> VerifyReport {
     report
 }
 
-/// Full verification: the static checks, then the schedule the
-/// reference executor compiles for this program (its replay trace and
-/// epoch cuts) checked for matching, deadlock-freedom, cut-closure and
-/// happens-before races.
-pub fn verify_execution(sp: &SpmdProgram, init: impl Fn(&mut Memory)) -> VerifyReport {
+/// Full verification of one reference run: the static checks, then the
+/// schedule it recorded (its replay trace and epoch cuts) checked for
+/// matching, deadlock-freedom, cut-closure and happens-before races. A run
+/// that failed yields the static checks plus `S100`.
+pub fn verify_execution(sp: &SpmdProgram, rec: Result<&Recorded, &InterpError>) -> VerifyReport {
     let a = Analysis::run(&sp.program);
     let mut report = VerifyReport::default();
     report.extend(privatize::verify_privatization(sp, &a));
-
-    let mut exec = SpmdExec::new(sp, init).with_trace();
-    if let Err(e) = exec.run() {
-        report.push(Diagnostic::error(
+    match rec {
+        Ok(rec) => report.extend(check_schedule(sp, &a, &rec.trace, &rec.cuts)),
+        Err(e) => report.push(Diagnostic::error(
             "S100",
             format!("reference execution failed before the schedule completed: {:?}", e),
-        ));
-        return report;
+        )),
     }
-    let cuts = exec.epoch_cuts().to_vec();
-    let trace = exec.trace.take().expect("with_trace records a trace");
-
-    let (diags, sim) = csp::check_schedule(&sp.program, &trace, &cuts);
-    report.extend(diags);
-    report.extend(hb::check_races(sp, &a, &trace, &sim));
     report
 }
 
-/// Check a supplied replay trace + epoch cuts (rather than one freshly
-/// executed). This is the hook the corrupted-schedule tests use, and
-/// what external runtimes can call with their own replay evidence.
+/// Check a supplied replay trace + epoch cuts (rather than a recorded
+/// run's). This is the hook the corrupted-schedule tests use, and what
+/// external runtimes can call with their own replay evidence.
 pub fn verify_schedule_trace(
     sp: &SpmdProgram,
     trace: &hpf_spmd::Trace,
     cuts: &[Vec<usize>],
 ) -> VerifyReport {
     let a = Analysis::run(&sp.program);
-    let (diags, sim) = csp::check_schedule(&sp.program, trace, cuts);
-    let mut report = VerifyReport { diags };
-    report.extend(hb::check_races(sp, &a, trace, &sim));
-    report
+    VerifyReport {
+        diags: check_schedule(sp, &a, trace, cuts),
+    }
 }
 
-/// Assert a recorded hpf-obs trace is a linearization of the program's
-/// static happens-before relation (`--verify-trace`). `init` must
-/// reproduce the recorded run's initial memory: communication in a
-/// data-dependent schedule (DGEFA's pivot) depends on it.
-pub fn verify_recorded_trace(
+/// The schedule checks (`S10x`, then `R20x`) over one analysis of the
+/// program.
+fn check_schedule(
     sp: &SpmdProgram,
-    recorded: &hpf_obs::Trace,
-    init: impl Fn(&mut Memory),
-) -> VerifyReport {
-    let mut report = VerifyReport::default();
-    report.extend(trace::verify_recorded_trace(sp, recorded, init));
-    report
+    a: &Analysis,
+    trace: &hpf_spmd::Trace,
+    cuts: &[Vec<usize>],
+) -> Vec<Diagnostic> {
+    let (mut diags, sim) = csp::check_schedule(&sp.program, trace, cuts);
+    diags.extend(hb::check_races(sp, a, trace, &sim));
+    diags
 }
 
 #[cfg(test)]
@@ -145,7 +137,7 @@ END DO
     fn figure1_verifies_clean_under_every_config() {
         for cfg in [CoreConfig::full(), CoreConfig::full_auto(), CoreConfig::naive()] {
             let sp = pipeline(FIG1, cfg);
-            let report = verify_execution(&sp, init);
+            let report = verify_execution(&sp, Recorded::run(&sp, init, true).as_ref());
             assert!(
                 report.is_clean(),
                 "expected clean verdict, got: {:?}",
@@ -158,19 +150,16 @@ END DO
     #[test]
     fn figure1_recorded_trace_is_a_linearization() {
         let sp = pipeline(FIG1, CoreConfig::full());
-        let mut exec = SpmdExec::new(&sp, init).with_trace();
-        exec.run().unwrap();
-        let recorded = exec.take_obs().unwrap();
-        let report = verify_recorded_trace(&sp, &recorded, init);
+        let rec = Recorded::run(&sp, init, true).unwrap();
+        let report = verify_recorded_trace(&sp, &rec.obs(&sp), Ok(&rec));
         assert!(report.is_clean(), "got: {:?}", report.diags);
     }
 
     #[test]
     fn swapped_comm_events_are_rejected() {
         let sp = pipeline(FIG1, CoreConfig::full());
-        let mut exec = SpmdExec::new(&sp, init).with_trace();
-        exec.run().unwrap();
-        let mut recorded = exec.take_obs().unwrap();
+        let rec = Recorded::run(&sp, init, true).unwrap();
+        let mut recorded = rec.obs(&sp);
         // Swap the first two adjacent, distinct comm events of one rank:
         // a reordering across a happens-before edge (program order).
         let mut swapped = false;
@@ -194,7 +183,7 @@ END DO
             }
         }
         assert!(swapped, "test needs two distinct comm events on one rank");
-        let report = verify_recorded_trace(&sp, &recorded, init);
+        let report = verify_recorded_trace(&sp, &recorded, Ok(&rec));
         assert!(report.has("T301"), "got: {:?}", report.diags);
     }
 }

@@ -17,11 +17,11 @@
 //! levels, element count — and ignores wall-clock timestamps and wire
 //! sequence numbers, which legitimately differ between backends.
 
-use hpf_ir::Memory;
+use hpf_ir::interp::InterpError;
 use hpf_obs::{Body, Trace as ObsTrace};
-use hpf_spmd::{SpmdExec, SpmdProgram};
+use hpf_spmd::{Recorded, SpmdProgram};
 
-use crate::diag::Diagnostic;
+use crate::diag::{Diagnostic, VerifyReport};
 
 const MAX_DIVERGENCES: usize = 5;
 
@@ -82,24 +82,25 @@ fn comm_keys(t: &ObsTrace, rank: usize) -> Vec<Key> {
         .collect()
 }
 
-/// Replay the program on the reference executor and assert the recorded
-/// trace's dynamic communication order is a linearization of the static
-/// happens-before relation.
+/// Assert a recorded hpf-obs trace is a linearization of the program's
+/// static happens-before relation (`--verify-trace`): the schedule of the
+/// reference run `rec`, which must start from the recorded run's initial
+/// memory, because communication in a data-dependent schedule (DGEFA's
+/// pivot) depends on it. A reference run that failed yields `T300`.
 pub fn verify_recorded_trace(
     sp: &SpmdProgram,
     recorded: &ObsTrace,
-    init: impl Fn(&mut Memory),
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut exec = SpmdExec::new(sp, init).with_trace();
-    if let Err(e) = exec.run() {
-        out.push(Diagnostic::error(
-            "T300",
-            format!("reference execution of the compiled program failed: {:?}", e),
-        ));
-        return out;
-    }
-    let expected = exec.take_obs().expect("with_trace records a trace");
+    rec: Result<&Recorded, &InterpError>,
+) -> VerifyReport {
+    let mut out = VerifyReport::default();
+    let expected = match rec {
+        Ok(rec) => rec.obs(sp),
+        Err(e) => {
+            let msg = format!("reference execution of the compiled program failed: {:?}", e);
+            out.push(Diagnostic::error("T300", msg));
+            return out;
+        }
+    };
 
     let faults = recorded.fault_names();
     if !faults.is_empty() {

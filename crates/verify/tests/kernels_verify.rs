@@ -54,11 +54,13 @@ fn assert_clean(src: &str, init_data: &[(&str, Vec<f64>)], what: &str) {
                     )
                 })
                 .collect();
-            let report = hpf_verify::verify_execution(&sp, |m| {
+            let init = |m: &mut hpf_ir::Memory| {
                 for (v, data) in &vars {
                     m.fill_real(*v, data);
                 }
-            });
+            };
+            let rec = hpf_spmd::Recorded::run(&sp, init, true);
+            let report = hpf_verify::verify_execution(&sp, rec.as_ref());
             assert!(
                 report.is_clean(),
                 "{} (config {}, combine={}) raised: {:#?}",

@@ -7,7 +7,7 @@
 use hpf_analysis::Analysis;
 use hpf_dist::MappingTable;
 use hpf_ir::{parse_program, LValue, Program, Stmt, StmtId};
-use hpf_spmd::{Event, SpmdExec, SpmdProgram};
+use hpf_spmd::{Event, Recorded, SpmdProgram};
 use hpf_verify::csp::simulate;
 use phpf_core::{CoreConfig, Decisions, ScalarMapping};
 
@@ -63,10 +63,8 @@ fn fig1_spmd() -> SpmdProgram {
 }
 
 fn fig1_trace_and_cuts(sp: &SpmdProgram) -> (hpf_spmd::Trace, Vec<Vec<usize>>) {
-    let mut exec = SpmdExec::new(sp, |_| {}).with_trace();
-    exec.run().expect("figure 1 executes");
-    let cuts = exec.epoch_cuts().to_vec();
-    (exec.trace.take().unwrap(), cuts)
+    let rec = Recorded::run(sp, |_| {}, true).expect("figure 1 executes");
+    (rec.trace, rec.cuts)
 }
 
 // ---------------------------------------------------------------- schedule

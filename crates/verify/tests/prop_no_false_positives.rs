@@ -107,7 +107,7 @@ proptest! {
         let nprocs = [1, 2, 4][pidx];
         let src = synth(n, nprocs, cyclic, d1, d2, with_if, with_reduction, two_level);
         let sp = compile(&src, config(cfg_idx), combine);
-        let report = hpf_verify::verify_execution(&sp, |m| {
+        let init = |m: &mut hpf_ir::Memory| {
             for name in ["a", "b", "c"] {
                 if let Some(v) = sp.program.vars.lookup(name) {
                     let data: Vec<f64> =
@@ -115,7 +115,9 @@ proptest! {
                     m.fill_real(v, &data);
                 }
             }
-        });
+        };
+        let rec = hpf_spmd::Recorded::run(&sp, init, true);
+        let report = hpf_verify::verify_execution(&sp, rec.as_ref());
         prop_assert!(
             report.is_clean(),
             "false positive on:\n{}\nconfig {} combine {}: {:#?}",

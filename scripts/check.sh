@@ -64,6 +64,33 @@ for example in tomcatv_small dgefa_small appsp_small; do
     }
 done
 
+echo "==> one shared reference run (--verify, --verify-trace and the thread replay in one phpfc)"
+# phpfc makes one reference record per invocation and hands it to the
+# verifier, the trace check and the threaded replay; all three verdicts
+# must come out of that single run.
+for example in tomcatv_small dgefa_small appsp_small; do
+    ./target/release/phpfc "examples/hpf/$example.hpf" --trace "$goldtrace" >/dev/null
+    set +e
+    out=$(./target/release/phpfc "examples/hpf/$example.hpf" --verify \
+        --verify-trace "$goldtrace" --backend thread 2>&1)
+    status=$?
+    set -e
+    if [ "$status" -ne 0 ]; then
+        echo "FAIL: $example --verify --verify-trace --backend thread exited $status" >&2
+        echo "$out" >&2
+        exit "$status"
+    fi
+    for needle in 'verify: privatization ok, schedule ok, races ok' \
+        'linearization of the static happens-before relation' \
+        'backend thread: replay on [0-9]* worker threads matched'; do
+        echo "$out" | grep -q "$needle" || {
+            echo "FAIL: $example shared-record run printed no '$needle' line" >&2
+            echo "$out" >&2
+            exit 1
+        }
+    done
+done
+
 echo "==> trace round trip (DGEFA small, thread and socket backends, --trace then --verify-trace)"
 # DGEFA's per-element control and reduction traffic must be booked by the
 # replay exactly as the reference executor books it, or the recorded trace
@@ -257,4 +284,4 @@ if [ -z "$faulted_msgs" ] || [ "$faulted_msgs" != "$clean_msgs" ]; then
     exit 1
 fi
 
-echo "OK: build, tests, allocation budget, lints, perfbench, verification, trace round trips, bench output, socket smoke, trace smoke and chaos smoke all clean"
+echo "OK: build, tests, allocation budget, lints, perfbench, verification, trace round trips, shared reference run, bench output, socket smoke, trace smoke and chaos smoke all clean"

@@ -10,7 +10,7 @@ use phpf::compile::Version;
 use phpf::kernels::{appsp, dgefa, tomcatv};
 use phpf::obs::Trace;
 use phpf::spmd::{
-    check_owner_slots, validate_replay_opts, validate_replay_traced, CommMetrics, Replayed,
+    check_owner_slots, validate_replay_traced, CommMetrics, Recorded, Replayed,
 };
 
 /// Run one kernel on both backends with identical deterministic fills and
@@ -33,7 +33,7 @@ fn differential(name: &str, source: String, vectorize: bool) {
             )
         })
         .collect();
-    let threads: Replayed = validate_replay_opts(
+    let threads: Replayed = validate_replay_traced(
         &compiled.spmd,
         move |m| {
             for (v, data) in &fills {
@@ -41,6 +41,7 @@ fn differential(name: &str, source: String, vectorize: bool) {
             }
         },
         vectorize,
+        false,
     )
     .unwrap_or_else(|e| panic!("{name}: thread backend: {e}"));
 
@@ -250,17 +251,13 @@ fn arc_payloads_leave_recorded_bytes_unchanged() {
                     m.fill_real(*v, data);
                 }
             };
-            let mut exec = phpf::spmd::SpmdExec::new(&compiled.spmd, &init).with_trace();
-            if !vectorize {
-                exec = exec.without_vectorization();
-            }
-            exec.run().unwrap();
+            let rec = Recorded::run(&compiled.spmd, &init, vectorize).unwrap();
             let replayed =
                 validate_replay_traced(&compiled.spmd, &init, vectorize, true).unwrap();
-            assert_traffic_identical(name, vectorize, &exec.metrics, &replayed.metrics);
+            assert_traffic_identical(name, vectorize, &rec.metrics, &replayed.metrics);
 
             let mode = if vectorize { "vectorized" } else { "per-element" };
-            let derived = exec.take_obs().expect("traced executor");
+            let derived = rec.obs(&compiled.spmd);
             let recorded = replayed.obs.expect("trace requested");
             assert_eq!(derived.nranks(), recorded.nranks(), "{name} ({mode}): rank counts");
             for r in 0..derived.nranks() {

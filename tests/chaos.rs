@@ -9,7 +9,7 @@ use phpf::compile::netrun::{self, FaultPlan, NetJob, NetRunConfig};
 use phpf::kernels::{appsp, dgefa, tomcatv};
 use phpf::obs::Body;
 use phpf::spmd::exec::Event;
-use phpf::spmd::{check_owner_slots, validate_replay_opts, Replayed, SpmdExec};
+use phpf::spmd::{check_owner_slots, validate_replay_traced, Recorded, Replayed};
 use std::time::{Duration, Instant};
 
 const SOURCE_N: i64 = 12;
@@ -28,7 +28,7 @@ fn thread_reference(job: &NetJob) -> Replayed {
         .iter()
         .map(|(n, d)| (compiled.spmd.program.vars.lookup(n).expect("fill var"), d.clone()))
         .collect();
-    validate_replay_opts(
+    validate_replay_traced(
         &compiled.spmd,
         move |m| {
             for (v, data) in &fills {
@@ -36,6 +36,7 @@ fn thread_reference(job: &NetJob) -> Replayed {
             }
         },
         true,
+        false,
     )
     .expect("thread backend replay")
 }
@@ -106,14 +107,17 @@ fn gang_respawn_resumes_from_checkpoint() {
         .iter()
         .map(|(n, d)| (compiled.spmd.program.vars.lookup(n).unwrap(), d.clone()))
         .collect();
-    let mut exec = SpmdExec::new(&compiled.spmd, |m| {
-        for (v, data) in &fills {
-            m.fill_real(*v, data);
-        }
-    })
-    .with_trace();
-    exec.run().expect("reference run");
-    let cuts = exec.epoch_cuts();
+    let rec = Recorded::run(
+        &compiled.spmd,
+        |m| {
+            for (v, data) in &fills {
+                m.fill_real(*v, data);
+            }
+        },
+        true,
+    )
+    .expect("reference run");
+    let cuts = &rec.cuts;
     assert!(cuts.len() > 2, "kernel must have at least two epochs");
     let kill_at = (cuts[1][1] + cuts[2][1]) / 2;
     assert!(kill_at > cuts[1][1], "kill must land after the first commit");
@@ -198,16 +202,18 @@ fn each_kernel_heals_corrupt_frame_plus_worker_kill() {
             .iter()
             .map(|(n, d)| (compiled.spmd.program.vars.lookup(n).unwrap(), d.clone()))
             .collect();
-        let mut exec = SpmdExec::new(&compiled.spmd, |m| {
-            for (v, data) in &fills {
-                m.fill_real(*v, data);
-            }
-        })
-        .with_trace();
-        exec.run().unwrap_or_else(|e| panic!("{}: reference run: {:?}", name, e));
-        let cuts = exec.epoch_cuts().to_vec();
+        let rec = Recorded::run(
+            &compiled.spmd,
+            |m| {
+                for (v, data) in &fills {
+                    m.fill_real(*v, data);
+                }
+            },
+            true,
+        )
+        .unwrap_or_else(|e| panic!("{}: reference run: {:?}", name, e));
+        let (trace, cuts) = (&rec.trace, &rec.cuts);
         assert!(cuts.len() > 2, "{}: kernel must span at least two epochs", name);
-        let trace = exec.trace.as_ref().unwrap();
         let link = trace
             .iter()
             .enumerate()
@@ -303,6 +309,10 @@ fn exhausted_budget_degrades_to_thread_backend() {
 
     check_owner_slots(&compiled.spmd, &r.mems, &threads.mems)
         .expect("degraded run must still produce the correct memories");
+    // The fallback replays the parent's record, so it reports exactly the
+    // fault-free thread run's traffic.
+    assert_eq!(r.metrics.per_proc, threads.metrics.per_proc);
+    assert_eq!(r.stats.messages_sent, threads.stats.messages_sent);
 
     let trace = r.obs.expect("trace requested");
     let names = trace.fault_names();

@@ -7,13 +7,15 @@
 use phpf::compile::{compile_source, Options, Version};
 use phpf::ir::Memory;
 use phpf::kernels::{appsp, dgefa, tomcatv};
-use phpf::spmd::runtime::validate_replay_opts;
+use phpf::spmd::{validate_replay_traced, Recorded};
 
 fn check_kernel(name: &str, src: &str, init: impl Fn(&mut Memory) + Sync) {
     let c = compile_source(src, Options::new(Version::SelectedAlignment))
         .unwrap_or_else(|e| panic!("{}: compile failed: {}", name, e));
+    let rec = Recorded::run(&c.spmd, &init, true)
+        .unwrap_or_else(|e| panic!("{}: reference run failed: {}", name, e));
     let check = c
-        .cross_check(&init)
+        .cross_check(&rec)
         .unwrap_or_else(|e| panic!("{}: cross-check failed: {}", name, e));
     assert!(
         check.observed_total as f64 <= check.predicted_total.ceil() + 0.5,
@@ -49,8 +51,10 @@ fn dgefa_observed_matches_predicted_both_versions() {
         let c = compile_source(&src, Options::new(version)).unwrap();
         let a = c.spmd.program.vars.lookup("a").unwrap();
         let a0 = a0.clone();
+        let rec = Recorded::run(&c.spmd, move |m| m.fill_real(a, &a0), true)
+            .unwrap_or_else(|e| panic!("DGEFA {:?}: reference run failed: {}", version, e));
         let check = c
-            .cross_check(move |m| m.fill_real(a, &a0))
+            .cross_check(&rec)
             .unwrap_or_else(|e| panic!("DGEFA {:?}: cross-check failed: {}", version, e));
         assert_eq!(check.untracked_messages, 0, "DGEFA {:?}", version);
     }
@@ -83,8 +87,8 @@ fn tomcatv_vectorization_strictly_reduces_messages() {
         m.fill_real(x, &x0);
         m.fill_real(y, &y0);
     };
-    let vec = validate_replay_opts(&c.spmd, &init, true).unwrap();
-    let elem = validate_replay_opts(&c.spmd, &init, false).unwrap();
+    let vec = validate_replay_traced(&c.spmd, &init, true, false).unwrap();
+    let elem = validate_replay_traced(&c.spmd, &init, false, false).unwrap();
     assert!(
         vec.stats.messages_sent < elem.stats.messages_sent,
         "vectorized replay must send strictly fewer messages: {} vs {}",

@@ -8,7 +8,7 @@
 use phpf::compile::{compile_source, Compiled, Options, Version};
 use phpf::ir::Memory;
 use phpf::kernels::{appsp, dgefa, tomcatv};
-use phpf::spmd::runtime::validate_replay_opts;
+use phpf::spmd::runtime::validate_replay_traced;
 use phpf::spmd::validate_against_sequential;
 
 const PROCS: [usize; 4] = [1, 2, 4, 8];
@@ -22,9 +22,9 @@ fn differential(name: &str, src: &str, init: impl Fn(&mut Memory) + Sync) {
         });
     validate_against_sequential(&c.spmd, &init)
         .unwrap_or_else(|e| panic!("{}: SPMD vs sequential: {}", name, e));
-    let vec = validate_replay_opts(&c.spmd, &init, true)
+    let vec = validate_replay_traced(&c.spmd, &init, true, false)
         .unwrap_or_else(|e| panic!("{}: vectorized replay: {}", name, e));
-    let elem = validate_replay_opts(&c.spmd, &init, false)
+    let elem = validate_replay_traced(&c.spmd, &init, false, false)
         .unwrap_or_else(|e| panic!("{}: per-element replay: {}", name, e));
     assert!(
         vec.stats.messages_sent <= elem.stats.messages_sent,
@@ -119,6 +119,6 @@ fn dgefa_default_version_consistent() {
     let a = prog.vars.lookup("a").unwrap();
     let init = move |m: &mut Memory| m.fill_real(a, &a0);
     validate_against_sequential(&c.spmd, &init).unwrap();
-    validate_replay_opts(&c.spmd, &init, true).unwrap();
-    validate_replay_opts(&c.spmd, &init, false).unwrap();
+    validate_replay_traced(&c.spmd, &init, true, false).unwrap();
+    validate_replay_traced(&c.spmd, &init, false, false).unwrap();
 }

@@ -8,7 +8,7 @@
 
 use phpf::compile::netrun::NetJob;
 use phpf::ir::Memory;
-use phpf::spmd::{ExecStats, SpmdExec};
+use phpf::spmd::{ExecStats, Recorded, SpmdExec};
 
 /// What one kernel's run is pinned to.
 #[derive(Debug, PartialEq, Eq)]
@@ -46,20 +46,14 @@ fn run(source: &str, vectorize: bool) -> Golden {
     let report = compiled.verify(&init);
     assert!(report.is_clean(), "verifier not clean: {:#?}", report);
 
-    let executor = || {
-        let exec = SpmdExec::new(&compiled.spmd, &init);
-        if vectorize {
-            exec
-        } else {
-            exec.without_vectorization()
-        }
-    };
-    let mut traced = executor().with_trace();
-    let stats = traced.run().expect("traced run");
-    let mut plain = executor();
+    let traced = Recorded::run(&compiled.spmd, &init, vectorize).expect("traced run");
+    let mut plain = SpmdExec::new(&compiled.spmd, &init);
+    if !vectorize {
+        plain = plain.without_vectorization();
+    }
     assert_eq!(
         plain.run().expect("untraced run"),
-        stats,
+        traced.stats,
         "tracing changed the stats"
     );
     assert_eq!(
@@ -67,16 +61,10 @@ fn run(source: &str, vectorize: bool) -> Golden {
         "tracing changed the wire counters"
     );
     Golden {
-        stats,
-        events_per_rank: traced
-            .trace
-            .as_ref()
-            .unwrap()
-            .iter()
-            .map(Vec::len)
-            .collect(),
-        epoch_cuts: traced.epoch_cuts().len(),
-        trace_digest: fnv1a(format!("{:?}", traced.trace.as_ref().unwrap()).as_bytes()),
+        stats: traced.stats,
+        events_per_rank: traced.trace.iter().map(Vec::len).collect(),
+        epoch_cuts: traced.cuts.len(),
+        trace_digest: fnv1a(format!("{:?}", traced.trace).as_bytes()),
         messages: traced.metrics.messages(),
         bytes: traced.metrics.bytes(),
     }

@@ -92,7 +92,7 @@ fn dropped_message_is_caught() {
         }
     }
     assert!(removed, "trace contained messages to sabotage");
-    let res = phpf::spmd::runtime::replay(&c.spmd, &trace, init);
+    let res = phpf::spmd::runtime::replay(&c.spmd, &trace, init, false);
     assert!(res.is_err(), "replay of a sabotaged schedule must fail");
 }
 
@@ -137,7 +137,7 @@ fn misrouted_message_is_caught() {
         }
     }
     assert!(sabotaged);
-    let res = phpf::spmd::runtime::replay(&c.spmd, &trace, init);
+    let res = phpf::spmd::runtime::replay(&c.spmd, &trace, init, false);
     match res {
         Err(_) => {}
         Ok(replayed) => {

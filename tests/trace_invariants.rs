@@ -14,7 +14,7 @@
 use phpf::compile::netrun::{self, NetJob, NetRunConfig};
 use phpf::compile::{compile_source_traced, Options, Version};
 use phpf::obs::{Body, BufTracer, Trace};
-use phpf::spmd::{validate_replay_traced, CommMetrics, SpmdExec};
+use phpf::spmd::{validate_replay_traced, CommMetrics, Recorded};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -125,17 +125,15 @@ proptest! {
             pr.vars.lookup("b").unwrap(),
             pr.vars.lookup("c").unwrap(),
         );
-        let mut exec = SpmdExec::new(&c.spmd, move |m| {
+        let rec = Recorded::run(&c.spmd, move |m| {
             m.fill_real(a, &ad);
             m.fill_real(b, &bd);
             m.fill_real(cc, &cd);
-        })
-        .with_trace();
-        exec.run().unwrap();
-        let metrics = exec.metrics.clone();
-        let trace = exec.take_obs().unwrap();
+        }, true)
+        .unwrap();
+        let trace = rec.obs(&c.spmd);
         trace.check_nesting().unwrap();
-        assert_counts_match("guarded stencil", &trace, &metrics);
+        assert_counts_match("guarded stencil", &trace, &rec.metrics);
     }
 }
 

@@ -6,19 +6,19 @@
 use phpf::compile::{compile_source, Options, Version};
 use phpf::ir::Memory;
 use phpf::kernels::{dgefa, tomcatv};
-use phpf::spmd::runtime::validate_replay_opts;
+use phpf::spmd::runtime::validate_replay_traced;
 use proptest::prelude::*;
 
 /// Run both replay modes and compare: every authoritative (owner) slot is
 /// already checked against the reference executor inside
-/// `validate_replay_opts`; here we additionally compare the two replays'
+/// `validate_replay_traced`; here we additionally compare the two replays'
 /// memories slot-for-slot and their payload volumes.
 fn both_modes(src: &str, init: impl Fn(&mut Memory) + Sync) -> Result<(), TestCaseError> {
     let c = compile_source(src, Options::new(Version::SelectedAlignment))
         .map_err(|e| TestCaseError::fail(format!("compile: {}", e)))?;
-    let vec = validate_replay_opts(&c.spmd, &init, true)
+    let vec = validate_replay_traced(&c.spmd, &init, true, false)
         .map_err(|e| TestCaseError::fail(format!("vectorized replay: {}", e)))?;
-    let elem = validate_replay_opts(&c.spmd, &init, false)
+    let elem = validate_replay_traced(&c.spmd, &init, false, false)
         .map_err(|e| TestCaseError::fail(format!("per-element replay: {}", e)))?;
     // Identical values delivered: owner copies of every array agree
     // between the two replays.
